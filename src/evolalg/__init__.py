@@ -45,12 +45,7 @@ from .graph import (
     descendants_generation,
     enumerate_row,
     export_window_dot,
-    find_oriented_cycle,
     path_is_valid,
-    row_first,
-    row_tail_abs,
-    row_tail_sq,
-    row_upto,
 )
 from .algebra import (
     ApproxElement,

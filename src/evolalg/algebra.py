@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import InfiniteRowReached, InvalidParams, NoTailBound, UniverseNotFinite
-from .graph import EvolutionStructure, FiniteRow, row_tail_sq, row_upto
+from .graph import EvolutionStructure
 from .scalars import (
     EX_ZERO,
     abs_sq,
@@ -129,22 +129,51 @@ def norm_upper(elem: Element) -> Fraction:
     return up_sqrt_frac(total)
 
 
+def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
+            weight: Optional[Callable] = None, l2_tail: bool = True,
+            axis: str = "row"):
+    """Sum of c * line over (index, coefficient, line) triples.
+
+    Finite lines are used in full.  Without a cutoff a lazy line must turn
+    out finite within its probe, else NoTailBound.  With one, a lazy line
+    longer than the cutoff contributes its prefix, and the result is an
+    :class:`ApproxElement` whose tail bound adds |c| * sqrt(tail_sq(cutoff))
+    per such line plus the norm of whatever finite-line mass lies beyond the
+    cutoff.  `weight` maps each line weight before it is scaled;
+    ``l2_tail=False`` declares that mapped lines have no square-summable
+    tail, so truncating one raises NoTailBound.
+    """
+    acc: dict[int, object] = {}
+    tail_bound = Fraction(0)
+    approx = False
+    for i, c, line in terms:
+        if is_zero(c):
+            continue
+        entries, exhausted = line.prefix(cutoff)
+        if not exhausted:
+            if cutoff is None:
+                raise NoTailBound(f"{axis} {i} is infinite; pass a cutoff")
+            if not l2_tail:
+                raise NoTailBound(
+                    "unweighted image of an infinite line is not in l2")
+            approx = True
+            tail_bound += abs_upper(c) * up_sqrt_frac(line.tail_sq(cutoff))
+        for k, w in entries:
+            cw = c * (w if weight is None else weight(w))
+            acc[k] = acc[k] + cw if k in acc else cw
+    result = Element(acc, s.zero_tol)
+    if not approx:
+        return result
+    kept = {k: w for k, w in result.coeffs.items() if k <= cutoff}
+    dropped = Element({k: w for k, w in result.coeffs.items() if k > cutoff})
+    if dropped.coeffs:
+        tail_bound += norm_upper(dropped)
+    return ApproxElement(Element(kept), cutoff, float(tail_bound))
+
+
 def square_basis(s: EvolutionStructure, i: int, cutoff: Optional[int] = None):
     """The square of the i-th natural basis vector, i.e. row i as an element."""
-    row = s.row_of(i)
-    if isinstance(row, FiniteRow):
-        return Element(dict(row.entries))
-    if cutoff is None:
-        # a lazy row may still be finite; probe generously before giving up
-        entries, exhausted = row.first(4096)
-        if exhausted:
-            return Element(dict(entries))
-        raise NoTailBound(f"row {i} is infinite; a cutoff is required")
-    entries, exhausted, _ = row.upto(cutoff)
-    if exhausted:
-        return Element(dict(entries))
-    tail = row_tail_sq(row, cutoff)  # raises NoTailBound when unavailable
-    return ApproxElement(Element(dict(entries)), cutoff, up_sqrt(tail))
+    return _expand(s, ((i, scalar_one(s.mode), s.row_of(i)),), cutoff)
 
 
 def multiply(s: EvolutionStructure, u: Element, v: Element,
@@ -159,37 +188,9 @@ def multiply(s: EvolutionStructure, u: Element, v: Element,
     """
     if not isinstance(u, Element) or not isinstance(v, Element):
         raise InvalidParams("multiply takes two exact Elements")
-    acc: dict[int, object] = {}
-    tail_bound = Fraction(0)
-    approx = False
-    for i in sorted(set(u.coeffs) & set(v.coeffs)):
-        c = u.coeffs[i] * v.coeffs[i]
-        if is_zero(c):
-            continue
-        row = s.row_of(i)
-        if isinstance(row, FiniteRow):
-            entries, exhausted = list(row.entries), True
-        elif cutoff is None:
-            entries, exhausted = row.first(4096)
-            if not exhausted:
-                raise NoTailBound(
-                    f"row {i} is infinite; pass a cutoff to multiply")
-        else:
-            entries, exhausted, _ = row.upto(cutoff)
-            if not exhausted:
-                approx = True
-                tail_bound += abs_upper(c) * up_sqrt_frac(row_tail_sq(row, cutoff))
-        for k, w in entries:
-            cw = c * w
-            acc[k] = acc[k] + cw if k in acc else cw
-    result = Element(acc, s.tol if s.mode == "float" else 0.0)
-    if not approx:
-        return result
-    kept = {k: w for k, w in result.coeffs.items() if k <= cutoff}
-    dropped = Element({k: w for k, w in result.coeffs.items() if k > cutoff})
-    if dropped.coeffs:
-        tail_bound += norm_upper(dropped)
-    return ApproxElement(Element(kept), cutoff, float(tail_bound))
+    uc, vc = u.coeffs, v.coeffs
+    return _expand(s, ((i, uc[i] * vc[i], s.row_of(i))
+                       for i in sorted(uc.keys() & vc.keys())), cutoff)
 
 
 def principal_power(s: EvolutionStructure, v: Element, n: int,
@@ -226,7 +227,7 @@ def nil_witness_search(s: EvolutionStructure, v: Element, n_max: int):
     """
     if n_max < 2:
         raise InvalidParams("n_max must be >= 2")
-    tol = s.tol if s.mode == "float" else 0.0
+    tol = s.zero_tol
     power = v
     if power.is_zero(tol):
         return NilAt(1)
@@ -300,7 +301,7 @@ def verify_natural_basis(s: EvolutionStructure, t: BasisTransform, window: int):
     """
     if window < 1:
         raise InvalidParams("window must be >= 1")
-    tol = s.tol if s.mode == "float" else 0.0
+    tol = s.zero_tol
     cache = {i: t.forward(i) for i in range(1, window + 1)}
     for i in range(1, window + 1):
         for j in range(i + 1, min(window, i + 2 * t.band) + 1):
@@ -370,7 +371,7 @@ def subspace_chain(s: EvolutionStructure, n_max: int):
         raise InvalidParams("subspace chain is restricted to n <= 12")
     if n_max < 1:
         raise InvalidParams("n_max must be >= 1")
-    tol = s.tol if s.mode == "float" else 0.0
+    tol = s.zero_tol
     basis_vectors = [Element.basis(i, s.mode) for i in range(1, n + 1)]
     dims = [n]
     current = basis_vectors

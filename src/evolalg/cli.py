@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import EvolAlgError, ParseError
-from .families import FAMILY_DOCS, FamilySpec, list_families
+from .families import FAMILY_DOCS, list_families
 from .graph import export_window_dot
 from .nilpotency import (IndexExact, IndexInfinite, brute_force_nilpotent,
                          classify, triangularize_window)

@@ -139,7 +139,10 @@ def markov_weight(j: int, q: Fraction) -> Fraction:
 
 def _build_markov_line(params: dict) -> EvolutionStructure:
     _check_keys("markov_line", params, frozenset({"ratio"}))
-    q = Fraction(params.get("ratio", Fraction(1, 2)))
+    try:
+        q = Fraction(params.get("ratio", Fraction(1, 2)))
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise InvalidParams(f"markov_line ratio is not a rational: {e}") from e
     if not 0 < q < 1:
         raise InvalidParams("markov_line ratio must satisfy 0 < ratio < 1")
 
@@ -442,9 +445,13 @@ def _build_finite_explicit(params: dict) -> EvolutionStructure:
         n = params["n"]
     except KeyError as e:
         raise InvalidParams("finite_explicit needs 'rows' and 'n'") from e
+    try:
+        n = int(n)
+    except (TypeError, ValueError) as e:
+        raise InvalidParams(f"finite_explicit 'n' is not an integer: {e}") from e
     mode = params.get("mode", "exact")
     tol = params.get("tol", 1e-12)
-    return EvolutionStructure.from_rows(rows, int(n), mode, tol)
+    return EvolutionStructure.from_rows(rows, n, mode, tol)
 
 
 _BUILDERS: dict[str, Callable[[dict], EvolutionStructure]] = {

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BudgetZero,
@@ -25,7 +25,7 @@ from .errors import (
     NoTailBound,
     ValidationError,
 )
-from .scalars import abs_sq, as_scalar, is_zero, scalar_str
+from .scalars import abs_sq, abs_upper, as_scalar, is_zero, scalar_str
 
 VertexId = int
 Entry = Tuple[VertexId, object]  # (target, weight)
@@ -33,9 +33,22 @@ Entry = Tuple[VertexId, object]  # (target, weight)
 INFINITE = math.inf
 
 
+# A lazy row without a cutoff is probed this far before it counts as infinite.
+LAZY_ROW_PROBE = 4096
+
+# depth() pulls at most DEPTH_PROBE + DEPTH_PROBE_PER_LEVEL * budget entries
+# of each lazy row.
+DEPTH_PROBE = 64
+DEPTH_PROBE_PER_LEVEL = 4
+
+
 @dataclass(frozen=True)
 class FiniteRow:
-    """Fully materialised row; entries strictly increasing by target."""
+    """Fully materialised row; entries strictly increasing by target.
+
+    It shares its reading methods with :class:`LazyRow`; each returns what
+    the lazy row would return once materialised in full.
+    """
 
     entries: Tuple[Entry, ...]
 
@@ -47,6 +60,32 @@ class FiniteRow:
             if k <= last:
                 raise ValidationError("row entries must be strictly increasing")
             last = k
+
+    def __iter__(self) -> Iterator[Entry]:
+        return iter(self.entries)
+
+    def first(self, count: int) -> Tuple[list, bool]:
+        """First `count` entries and whether the row was exhausted by them."""
+        return list(self.entries[:count]), len(self.entries) <= count
+
+    def upto(self, max_vertex: int) -> Tuple[list, bool, int]:
+        """(entries with target <= max_vertex, exhausted, entries enumerated)."""
+        out = [e for e in self.entries if e[0] <= max_vertex]
+        exhausted = len(out) == len(self.entries)
+        return out, exhausted, len(out) + (0 if exhausted else 1)
+
+    def prefix(self, cutoff: Optional[int] = None,
+               probe: int = LAZY_ROW_PROBE) -> Tuple[Sequence[Entry], bool]:
+        """Every entry, whatever the cutoff or probe; always exhausted."""
+        return self.entries, True
+
+    def tail_sq(self, n: int):
+        """sum_{k>n} |w_k|^2, exactly."""
+        return sum((abs_sq(w) for k, w in self.entries if k > n), Fraction(0))
+
+    def tail_abs(self, n: int) -> Fraction:
+        """Rational upper bound on sum_{k>n} |w_k|."""
+        return sum((abs_upper(w) for k, w in self.entries if k > n), Fraction(0))
 
 
 class LazyRow:
@@ -82,6 +121,16 @@ class LazyRow:
                 raise ValidationError("lazy row targets must increase strictly")
             self._cache.append((k, w))
 
+    def __iter__(self) -> Iterator[Entry]:
+        """Entries in order, pulled one at a time as the caller advances."""
+        n = 0
+        while True:
+            self._extend(n + 1)
+            if n == len(self._cache):
+                return
+            yield self._cache[n]
+            n += 1
+
     def first(self, count: int) -> Tuple[list, bool]:
         """First `count` entries and whether the row was exhausted by them."""
         self._extend(count + 1)
@@ -104,67 +153,33 @@ class LazyRow:
                 return self._cache[:n], False, n + 1
             n += 1
 
+    def prefix(self, cutoff: Optional[int] = None,
+               probe: int = LAZY_ROW_PROBE) -> Tuple[Sequence[Entry], bool]:
+        """Entries with target <= cutoff, or the first `probe` entries when
+        there is no cutoff, and whether they exhaust the row."""
+        if cutoff is None:
+            return self.first(probe)
+        entries, exhausted, _ = self.upto(cutoff)
+        return entries, exhausted
 
-Row = object  # FiniteRow | LazyRow
+    def tail_sq(self, n: int):
+        """Certified upper bound on sum_{k>n} |w_k|^2, or raise NoTailBound."""
+        if self.upto(n)[1]:
+            return Fraction(0)  # no entry lies beyond n
+        if self.tail_sq_bound is None:
+            raise NoTailBound(f"row has no square tail bound beyond {n}")
+        return self.tail_sq_bound(n)
 
-
-def row_first(row, count: int) -> Tuple[list, bool]:
-    if isinstance(row, FiniteRow):
-        return list(row.entries[:count]), len(row.entries) <= count
-    return row.first(count)
-
-
-def row_upto(row, max_vertex: int) -> Tuple[list, bool, int]:
-    """(entries with target <= max_vertex, exhausted, entries enumerated)."""
-    if isinstance(row, FiniteRow):
-        out = [e for e in row.entries if e[0] <= max_vertex]
-        exhausted = len(out) == len(row.entries)
-        return out, exhausted, len(out) + (0 if exhausted else 1)
-    return row.upto(max_vertex)
-
-
-def row_tail_sq(row, n: int):
-    """Certified upper bound on sum_{k>n} |w_k|^2, or raise NoTailBound."""
-    if isinstance(row, FiniteRow):
-        total = None
-        for k, w in row.entries:
-            if k > n:
-                total = abs_sq(w) if total is None else total + abs_sq(w)
-        return total if total is not None else Fraction(0)
-    entries, exhausted, _ = row.upto(n)
-    if exhausted:
-        # fully materialised: only entries beyond n matter and there are none
-        # past the cache, so compute directly
-        rest = [e for e in row._cache if e[0] > n]
-        total = Fraction(0)
-        for _, w in rest:
-            total = total + abs_sq(w)
-        return total
-    if row.tail_sq_bound is None:
-        raise NoTailBound(f"row has no square tail bound beyond {n}")
-    return row.tail_sq_bound(n)
+    def tail_abs(self, n: int) -> Optional[Fraction]:
+        """Certified upper bound on sum_{k>n} |w_k|, or None if unavailable."""
+        if self.upto(n)[1]:
+            return Fraction(0)
+        if self.tail_abs_bound is None:
+            return None
+        return self.tail_abs_bound(n)
 
 
-def row_tail_abs(row, n: int):
-    """Certified upper bound on sum_{k>n} |w_k|, or None if unavailable."""
-    from .scalars import abs_upper
-
-    if isinstance(row, FiniteRow):
-        total = Fraction(0)
-        for k, w in row.entries:
-            if k > n:
-                total += abs_upper(w)
-        return total
-    _, exhausted, _ = row.upto(n)
-    if exhausted:
-        total = Fraction(0)
-        for k, w in row._cache:
-            if k > n:
-                total += abs_upper(w)
-        return total
-    if row.tail_abs_bound is None:
-        return None
-    return row.tail_abs_bound(n)
+Row = Union[FiniteRow, LazyRow]
 
 
 @dataclass(frozen=True)
@@ -236,6 +251,16 @@ class EvolutionStructure:
     @property
     def has_columns(self) -> bool:
         return self._column_fn is not None
+
+    @property
+    def zero_tol(self) -> float:
+        """Magnitude up to which a scalar counts as zero: ``tol`` in float
+        mode, 0 (literal zero tests) in exact mode."""
+        return self.tol if self.mode == "float" else 0.0
+
+    def clip(self, window: int) -> int:
+        """The last vertex of the window {1..window} that exists."""
+        return window if self.universe is None else min(window, self.universe)
 
     def column_of(self, i: int) -> Row:
         self._check_vertex(i)
@@ -317,16 +342,17 @@ def enumerate_row(s: EvolutionStructure, i: int, limit: int) -> Tuple[list, bool
     """First `limit` row entries and an exhaustion flag."""
     if limit < 0:
         raise InvalidParams("limit must be >= 0")
-    return row_first(s.row_of(i), limit)
+    return s.row_of(i).first(limit)
 
 
 def descendants_generation(s: EvolutionStructure, vertices: Iterable[int],
                            m: int, budget: int) -> GenerationResult:
     """The m-th generation D^m(U) of a vertex set, within an entry budget.
 
-    Generation 0 is U itself.  When a row enumeration hits the budget, the
-    result is flagged truncated and `members` is a subset of the true D^m(U).
-    `first_hit` maps each vertex reached during the recursion to the first
+    Generation 0 is U itself.  `budget` counts row entries enumerated,
+    summed over all rows and generations.  When the enumeration hits the
+    budget, the result is flagged truncated and `members` is a subset of the
+    true D^m(U).  `first_hit` maps each vertex reached during the recursion to the first
     generation that produced it (the BFS distance from U when untruncated).
     """
     U = sorted(set(vertices))
@@ -348,29 +374,16 @@ def descendants_generation(s: EvolutionStructure, vertices: Iterable[int],
     for g in range(1, m + 1):
         nxt: set[int] = set()
         for v in sorted(current):
-            row = s.row_of(v)
-            idx = 0
-            while True:
-                if isinstance(row, FiniteRow):
-                    if idx >= len(row.entries):
-                        break
-                    entry = row.entries[idx]
-                else:
-                    chunk, _ = row.first(idx + 1)
-                    if len(chunk) <= idx:
-                        break
-                    entry = chunk[idx]
+            for k, _w in s.row_of(v):
                 if not bud.take():
                     # out of budget: whatever was collected stays a subset of
                     # the true generation, and later generations of a subset
                     # are subsets too -- keep going without enumerating more
                     truncated = True
                     break
-                k = entry[0]
                 nxt.add(k)
                 if k not in first_hit:
                     first_hit[k] = g
-                idx += 1
         current = nxt
     return GenerationResult(m, frozenset(current), truncated, first_hit)
 
@@ -394,11 +407,12 @@ class DepthInfinite:
 def depth(s: EvolutionStructure, i: int, budget: int, use_oracle: bool = False):
     """Depth of the descendant graph of i: sup of distances from i.
 
-    `budget` bounds the number of BFS levels explored.  Lazy rows are
-    enumerated up to ``64 + 4*budget`` entries each; if any row was left
-    unexhausted the verdict degrades to ``DepthAtLeast`` (a path of that
-    length was found).  With ``use_oracle=True`` an infinite-depth claim from
-    the family metadata is returned up front.
+    `budget` counts BFS levels explored.  Finite rows are read in full; lazy
+    rows are enumerated up to ``DEPTH_PROBE + DEPTH_PROBE_PER_LEVEL *
+    budget`` entries each, and if any was left unexhausted the verdict
+    degrades to ``DepthAtLeast`` (a path of that length was found).  With
+    ``use_oracle=True`` an infinite-depth claim from the family metadata is
+    returned up front.
     """
     s._check_vertex(i)
     if budget < 1:
@@ -407,7 +421,7 @@ def depth(s: EvolutionStructure, i: int, budget: int, use_oracle: bool = False):
         if s.meta.depth_oracle(i) == INFINITE:
             return DepthInfinite("family_oracle")
 
-    cap = 64 + 4 * budget
+    probe = DEPTH_PROBE + DEPTH_PROBE_PER_LEVEL * budget
     visited = {i}
     dist: dict[int, int] = {}
     frontier = [i]
@@ -417,11 +431,7 @@ def depth(s: EvolutionStructure, i: int, budget: int, use_oracle: bool = False):
         level += 1
         nxt: list[int] = []
         for v in sorted(frontier):
-            row = s.row_of(v)
-            if isinstance(row, FiniteRow):
-                entries, exhausted = list(row.entries), True
-            else:
-                entries, exhausted = row.first(cap)
+            entries, exhausted = s.row_of(v).prefix(probe=probe)
             if not exhausted:
                 truncated = True
             for k, _w in entries:
@@ -440,7 +450,8 @@ def depth(s: EvolutionStructure, i: int, budget: int, use_oracle: bool = False):
 def cycle_search(s: EvolutionStructure, window: int, budget: int):
     """DFS cycle search on the induced window {1..window}.
 
-    Returns ``(path, completed)``: `path` is a vertex cycle ``[v, ..., v]``
+    `budget` counts row entries enumerated (each row is read once, up to the
+    first entry beyond the window).  Returns ``(path, completed)``: `path` is a vertex cycle ``[v, ..., v]``
     (first == last) or None, and `completed` says whether the whole window
     was searched without running out of budget.  A None with
     ``completed=False`` proves nothing.
@@ -448,7 +459,7 @@ def cycle_search(s: EvolutionStructure, window: int, budget: int):
     if window < 1:
         raise InvalidParams("window must be >= 1")
     bud = _Budget(max(budget, 0))
-    top = min(window, s.universe) if s.universe is not None else window
+    top = s.clip(window)
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[int, int] = {}
     parent: dict[int, int] = {}
@@ -456,7 +467,7 @@ def cycle_search(s: EvolutionStructure, window: int, budget: int):
 
     def adjacency(v):
         if v not in adj_cache:
-            entries, _, enumerated = row_upto(s.row_of(v), top)
+            entries, _, enumerated = s.row_of(v).upto(top)
             if not bud.take(max(enumerated, 1)):
                 return None
             adj_cache[v] = [k for k, _ in entries]
@@ -495,22 +506,14 @@ def cycle_search(s: EvolutionStructure, window: int, budget: int):
     return None, True
 
 
-def find_oriented_cycle(s: EvolutionStructure, window: int, budget: int):
-    """Cycle path ``[v, ..., v]`` inside the window, or None (not a
-    certificate of acyclicity unless the finite universe fits the window and
-    the search completed)."""
-    path, _completed = cycle_search(s, window, budget)
-    return path
-
-
 def path_is_valid(s: EvolutionStructure, path: Sequence[int]) -> bool:
     """Re-walk a path and confirm every edge exists with nonzero weight."""
     if len(path) < 2:
         return False
     for u, v in zip(path, path[1:]):
-        entries, _, _ = row_upto(s.row_of(u), v)
+        entries, _, _ = s.row_of(u).upto(v)
         hit = [w for k, w in entries if k == v]
-        if not hit or is_zero(hit[0], s.tol if s.mode == "float" else 0.0):
+        if not hit or is_zero(hit[0], s.zero_tol):
             return False
     return True
 
@@ -536,7 +539,7 @@ def degree(s: EvolutionStructure, i: int, direction: str, cap: int):
         row = s.column_of(i)  # raises NoColumnAccess when absent
     else:
         raise InvalidParams(f"direction must be 'out' or 'in', got {direction!r}")
-    entries, exhausted = row_first(row, cap + 1)
+    entries, exhausted = row.first(cap + 1)
     if exhausted and len(entries) <= cap:
         return DegreeExact(len(entries))
     return DegreeAtLeastCap(cap)
@@ -546,12 +549,12 @@ def export_window_dot(s: EvolutionStructure, window: int) -> str:
     """DOT text of the induced window; exact weights render as exact strings."""
     if window < 1:
         raise InvalidParams("window must be >= 1")
-    top = min(window, s.universe) if s.universe is not None else window
+    top = s.clip(window)
     lines = ["digraph evolution {"]
     for v in range(1, top + 1):
         lines.append(f"  {v};")
     for v in range(1, top + 1):
-        entries, _, _ = row_upto(s.row_of(v), top)
+        entries, _, _ = s.row_of(v).upto(top)
         for k, w in entries:
             lines.append(f'  {v} -> {k} [label="{scalar_str(w)}"];')
     lines.append("}")

@@ -30,9 +30,13 @@ from .graph import (
     cycle_search,
     depth,
     path_is_valid,
-    row_first,
-    row_upto,
 )
+
+# classify() searches the window {1..min(budget + 8, CLASSIFY_WINDOW_CAP)}
+# for cycles, and at most CLASSIFY_SCAN_CAP vertices for one of infinite
+# depth.
+CLASSIFY_WINDOW_CAP = 4096
+CLASSIFY_SCAN_CAP = 256
 
 # -- witnesses ---------------------------------------------------------------
 
@@ -79,7 +83,7 @@ def validate_witness(s: EvolutionStructure, witness) -> bool:
             return False
         if not path_is_valid(s, v):
             return False
-        nxt, _ = row_first(s.row_of(v[-1]), 1)
+        nxt, _ = s.row_of(v[-1]).first(1)
         return bool(nxt)
     if isinstance(witness, UnboundedDepthSequence):
         pairs = witness.pairs
@@ -167,7 +171,7 @@ def _finite_generations(s: EvolutionStructure):
     for _ in range(n + 1):
         nxt = set()
         for v in current:
-            entries, _ = row_first(s.row_of(v), n)
+            entries, _ = s.row_of(v).first(n)
             nxt.update(t for t, _ in entries)
         current = frozenset(nxt)
         if not current:
@@ -186,7 +190,7 @@ def _materialise_ray(s: EvolutionStructure, start: int, length: int,
     seen = {start}
     v = start
     while len(out) < length:
-        entries, _ = row_first(s.row_of(v), scan)
+        entries, _ = s.row_of(v).first(scan)
         step = None
         for t, _w in entries:
             if t in seen:
@@ -206,7 +210,7 @@ def _longest_path_evidence(s: EvolutionStructure, window: int, budget: int):
     """Bounded DFS for a long simple path within the window: evidence only."""
     best: tuple = ()
     entries_left = budget
-    top = min(window, s.universe) if s.universe is not None else window
+    top = s.clip(window)
     for start in range(1, top + 1):
         if entries_left <= 0:
             break
@@ -215,7 +219,7 @@ def _longest_path_evidence(s: EvolutionStructure, window: int, budget: int):
             v, path = stack.pop()
             if len(path) > len(best):
                 best = tuple(path)
-            entries, _, used = row_upto(s.row_of(v), top)
+            entries, _, used = s.row_of(v).upto(top)
             entries_left -= max(used, 1)
             for t, _w in reversed(entries):
                 if t not in path:
@@ -247,6 +251,13 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
     Finite universes are decided exactly (the budget is advisory there).
     Infinite structures lean on family metadata where it exists; without it
     the only reachable certified verdict is "no" via a found cycle.
+
+    On infinite structures `budget` sets a window and an entry count: the
+    cycle search and the long-path evidence cover the window {1..min(budget
+    + 8, CLASSIFY_WINDOW_CAP)} and may enumerate 64 * budget row entries
+    each.  The depth oracle is asked about the first min(budget,
+    CLASSIFY_SCAN_CAP) vertices when looking for an infinite depth, and
+    about the first `budget` when looking for unbounded depths.
     """
     if budget == 0:
         raise BudgetZero("classify needs a budget >= 1")
@@ -259,7 +270,7 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
         return _classify_finite(s, budget)
 
     # Stage 1: oriented cycles decide everything.
-    window = min(budget + 8, 4096)
+    window = min(budget + 8, CLASSIFY_WINDOW_CAP)
     path, completed = cycle_search(s, window, 64 * budget)
     if path is not None:
         w = CycleWitness(tuple(path))
@@ -289,7 +300,7 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
         return NilpotencyReport(verdict, verdict, None, budget, tuple(notes))
 
     if not meta.all_depths_finite:
-        scan = min(budget, 256)
+        scan = min(budget, CLASSIFY_SCAN_CAP)
         bad = next((i for i in range(1, scan + 1)
                     if meta.depth_oracle(i) == INFINITE), None)
         if bad is None:
@@ -375,12 +386,14 @@ def triangularize_window(s: EvolutionStructure, window: int,
     removed.  Out-of-window targets block removal unless the family metadata
     promises walks never re-enter the window, or the universe fits inside it.
     Smallest removable vertex first, so the order is deterministic.
+    `budget` counts row entries enumerated while reading the window's rows;
+    running out raises :class:`BudgetZero`.
     """
     if window < 1:
         raise InvalidParams("window must be >= 1")
     if budget < 1:
         raise BudgetZero("triangularize needs a budget >= 1")
-    top = min(window, s.universe) if s.universe is not None else window
+    top = s.clip(window)
     exempt = (s.universe is not None and s.universe <= window) or (
         s.meta is not None and s.meta.no_window_reentry is True)
 
@@ -389,7 +402,7 @@ def triangularize_window(s: EvolutionStructure, window: int,
     rev: dict[int, list] = {v: [] for v in range(1, top + 1)}
     entries_left = budget
     for v in range(1, top + 1):
-        entries, exhausted, used = row_upto(s.row_of(v), top)
+        entries, exhausted, used = s.row_of(v).upto(top)
         entries_left -= max(used, 1)
         if entries_left < 0:
             raise BudgetZero(f"row enumeration budget exhausted at vertex {v}")
@@ -456,12 +469,12 @@ def permutation_is_strictly_lower(s: EvolutionStructure, order,
                                   window: int) -> bool:
     """Re-check a triangularisation: within the window, every row of order[t]
     must target only vertices removed before t."""
-    top = min(window, s.universe) if s.universe is not None else window
+    top = s.clip(window)
     position = {v: t for t, v in enumerate(order)}
     if sorted(order) != list(range(1, top + 1)):
         return False
     for t, v in enumerate(order):
-        entries, _, _ = row_upto(s.row_of(v), top)
+        entries, _, _ = s.row_of(v).upto(top)
         for target, _w in entries:
             if position[target] >= t:
                 return False

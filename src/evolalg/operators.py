@@ -19,20 +19,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .algebra import ApproxElement, Element, inner_product, norm_upper
+from .algebra import Element, _expand
 from .errors import InvalidParams, NoColumnAccess, NoTailBound
-from .graph import EvolutionStructure, FiniteRow, row_tail_abs, row_tail_sq, row_upto
+from .graph import EvolutionStructure
 from .scalars import (
     abs_lower,
     abs_sq,
     abs_upper,
     conj,
-    is_zero,
     scalar_one,
     scalar_zero,
     up_sqrt,
-    up_sqrt_frac,
 )
+
+# left_mult_bound reads rows up to this vertex, then defers to tail bounds.
+_LEFT_MULT_WINDOW = 256
 
 
 class OperatorKind(enum.Enum):
@@ -50,10 +51,12 @@ class OperatorKind(enum.Enum):
         return self in (OperatorKind.GAMMA, OperatorKind.ADJ_T)
 
 
-def _line_weight(kind: OperatorKind, w, mode: str):
+def _weight_map(kind: OperatorKind, mode: str):
+    """What `kind` makes of each line weight; None leaves it as it is."""
     if kind.weighted:
-        return w
-    return scalar_one(mode)
+        return conj if kind.adjoint else None
+    unit = conj(scalar_one(mode)) if kind.adjoint else scalar_one(mode)
+    return lambda w: unit
 
 
 def apply_operator(s: EvolutionStructure, kind: OperatorKind, v: Element,
@@ -67,41 +70,10 @@ def apply_operator(s: EvolutionStructure, kind: OperatorKind, v: Element,
     """
     if not isinstance(kind, OperatorKind):
         kind = OperatorKind(kind)
-    acc: dict[int, object] = {}
-    tail_bound = Fraction(0)
-    approx = False
-    for i, c in v.items():
-        line = s.column_of(i) if kind.adjoint else s.row_of(i)
-        if isinstance(line, FiniteRow):
-            entries, exhausted = list(line.entries), True
-        elif cutoff is None:
-            entries, exhausted = line.first(4096)
-            if not exhausted:
-                raise NoTailBound(
-                    f"{'column' if kind.adjoint else 'row'} {i} is infinite; "
-                    "pass a cutoff")
-        else:
-            entries, exhausted, _ = line.upto(cutoff)
-            if not exhausted:
-                if not kind.weighted:
-                    raise NoTailBound(
-                        "unweighted image of an infinite line is not in l2")
-                approx = True
-                tail_bound += abs_upper(c) * up_sqrt_frac(row_tail_sq(line, cutoff))
-        for k, w in entries:
-            wv = _line_weight(kind, w, s.mode)
-            if kind.adjoint:
-                wv = conj(wv)
-            t = c * wv
-            acc[k] = acc[k] + t if k in acc else t
-    result = Element(acc, s.tol if s.mode == "float" else 0.0)
-    if not approx:
-        return result
-    kept = {k: w for k, w in result.coeffs.items() if k <= cutoff}
-    dropped = Element({k: w for k, w in result.coeffs.items() if k > cutoff})
-    if dropped.coeffs:
-        tail_bound += norm_upper(dropped)
-    return ApproxElement(Element(kept), cutoff, float(tail_bound))
+    line_of = s.column_of if kind.adjoint else s.row_of
+    return _expand(s, ((i, c, line_of(i)) for i, c in v.items()), cutoff,
+                   _weight_map(kind, s.mode), l2_tail=kind.weighted,
+                   axis="column" if kind.adjoint else "row")
 
 
 @dataclass(frozen=True)
@@ -129,7 +101,7 @@ def summability_check(s: EvolutionStructure, axis: str, index: int, window: int)
         raise InvalidParams(f"axis must be 'row' or 'column', got {axis!r}")
     if window < 0:
         raise InvalidParams("window must be >= 0")
-    entries, exhausted, _ = row_upto(line, window)
+    entries, exhausted, _ = line.upto(window)
     total = None
     for _, w in entries:
         a = abs_sq(w)
@@ -139,7 +111,7 @@ def summability_check(s: EvolutionStructure, axis: str, index: int, window: int)
     if exhausted:
         return FiniteCertified(total, Fraction(0))
     try:
-        tail = row_tail_sq(line, window)
+        tail = line.tail_sq(window)
     except NoTailBound:
         return PartialSum(total)
     return FiniteCertified(total, tail)
@@ -164,7 +136,7 @@ def frobenius_certificate(s: EvolutionStructure, window: int) -> BoundCertificat
     """
     if window < 1:
         raise InvalidParams("window must be >= 1")
-    top = min(window, s.universe) if s.universe is not None else window
+    top = s.clip(window)
     total = Fraction(0)
     rows_certified = True
     for i in range(1, top + 1):
@@ -230,7 +202,7 @@ def schur_certificate(s: EvolutionStructure, alpha, beta, m1, m2,
     m2 = Fraction(m2) if not isinstance(m2, Fraction) else m2
     if m1 <= 0 or m2 <= 0:
         raise InvalidParams("Schur constants must be positive")
-    top = min(window, s.universe) if s.universe is not None else window
+    top = s.clip(window)
 
     inconclusive = False
     for i in range(1, top + 1):
@@ -269,15 +241,7 @@ def _schur_line_sum(line, weights: SchurWeights, window: int):
     refutations rely on, so it must never overshoot; the upper bound (None
     when the tail cannot be controlled) is what certification relies on.
     """
-    if isinstance(line, FiniteRow):
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for k, w in line.entries:
-            wk = Fraction(weights.fn(k))
-            lo += abs_lower(w) * wk
-            hi += abs_upper(w) * wk
-        return lo, hi
-    entries, exhausted, _ = row_upto(line, window)
+    entries, exhausted = line.prefix(window)
     lo = Fraction(0)
     hi = Fraction(0)
     for k, w in entries:
@@ -286,7 +250,7 @@ def _schur_line_sum(line, weights: SchurWeights, window: int):
         hi += abs_upper(w) * wk
     if exhausted:
         return lo, hi
-    tail = row_tail_abs(line, window)
+    tail = line.tail_abs(window)
     if tail is None or weights.tail_sup is None:
         return lo, None
     return lo, hi + Fraction(tail) * Fraction(weights.tail_sup(window))
@@ -302,7 +266,7 @@ def adjoint_pairing_residual(s: EvolutionStructure, i: int, v: Element):
     sup = v.support()
     lhs = None
     if sup:
-        entries, _, _ = row_upto(s.row_of(i), sup[-1])
+        entries, _, _ = s.row_of(i).upto(sup[-1])
         coeffs = dict(entries)
         for k in sup:
             if k in coeffs:
@@ -323,19 +287,14 @@ def left_mult_bound(s: EvolutionStructure, v: Element) -> float:
     total = Fraction(0)
     for i, c in v.items():
         row = s.row_of(i)
-        entries, exhausted, _ = row_upto(row, _row_probe_limit(row))
+        entries, exhausted, _ = row.upto(_LEFT_MULT_WINDOW)
         sq = Fraction(0)
         for _, w in entries:
             sq += _upperize(abs_sq(w))
         if not exhausted:
-            sq += _upperize(row_tail_sq(row, _row_probe_limit(row)))  # NoTailBound if absent
+            sq += _upperize(row.tail_sq(_LEFT_MULT_WINDOW))  # NoTailBound if absent
         total += _upperize(abs_sq(c)) * sq
     return up_sqrt(total)
-
-
-def _row_probe_limit(row) -> int:
-    # window after which lazy rows defer to their analytic tail bound
-    return 256
 
 
 def matrix_window(s: EvolutionStructure, kind: OperatorKind, n: int):
@@ -345,15 +304,16 @@ def matrix_window(s: EvolutionStructure, kind: OperatorKind, n: int):
         kind = OperatorKind(kind)
     if n < 1:
         raise InvalidParams("window must be >= 1")
-    top = min(n, s.universe) if s.universe is not None else n
+    top = s.clip(n)
     zero = scalar_zero(s.mode)
     mat = [[zero for _ in range(n)] for _ in range(n)]
+    weight = _weight_map(kind, s.mode)
     for i in range(1, top + 1):
-        entries, _, _ = row_upto(s.row_of(i), top)
+        entries, _, _ = s.row_of(i).upto(top)
         for k, w in entries:
-            wv = _line_weight(kind, w, s.mode)
+            wv = w if weight is None else weight(w)
             if kind.adjoint:
-                mat[k - 1][i - 1] = conj(wv)
+                mat[k - 1][i - 1] = wv
             else:
                 mat[i - 1][k - 1] = wv
     return mat

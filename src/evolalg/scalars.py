@@ -144,7 +144,8 @@ class Q2:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational value hashes like the Fraction it equals
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -353,7 +354,8 @@ class ExactScalar:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the Q2 (and so the Fraction) it equals
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

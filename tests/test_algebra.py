@@ -11,6 +11,7 @@ from evolalg import (
     BasisTransform,
     Element,
     EvolutionStructure,
+    FiniteRow,
     NaturalOnWindow,
     NilAt,
     NotNilUpTo,
@@ -223,3 +224,64 @@ def test_subspace_chain_monotone(seed):
     dims = subspace_chain(s, 6)
     assert dims[0] == s.universe
     assert all(a >= b for a, b in zip(dims, dims[1:]))
+
+
+def wide_row_structure():
+    # row 1 is a finite row with 198 entries, reaching far past any cutoff
+    wide = FiniteRow(tuple((k, EX_ONE) for k in range(2, 200)))
+    return EvolutionStructure("exact",
+                              lambda i: wide if i == 1 else FiniteRow(()))
+
+
+def test_multiply_uses_finite_rows_in_full_whatever_the_cutoff():
+    e1 = Element({1: EX_ONE})
+    full = Element({k: EX_ONE for k in range(2, 200)})
+    prod = multiply(wide_row_structure(), e1, e1, cutoff=5)
+    assert isinstance(prod, Element)
+    assert prod == full
+    assert square_basis(wide_row_structure(), 1, cutoff=5) == full
+
+
+def float_structure(rows, n, tol=1e-9):
+    return EvolutionStructure.from_rows(rows, n, mode="float", tol=tol)
+
+
+def test_float_multiply_drops_coefficients_below_tol():
+    s = float_structure({1: [(3, 1.0)], 2: [(3, -1.0 + 1e-13), (4, 2.0)]}, 4)
+    u = Element({1: 1 + 0j, 2: 1 + 0j})
+    assert multiply(s, u, u) == Element({4: 2 + 0j})
+    exact_tol = float_structure({1: [(3, 1.0)], 2: [(3, -1.0 + 1e-13)]}, 3,
+                                tol=0.0)
+    assert multiply(exact_tol, u, u).support() == (3,)
+
+
+def test_float_nil_witness_search_uses_tol():
+    s = float_structure({1: [(2, 1e-12)], 2: [(3, 1.0)]}, 3)
+    # the only nonzero coefficient of v^2 is below tol
+    assert nil_witness_search(s, Element({1: 1 + 0j}), 4) == NilAt(2)
+    # v itself counts as zero when all its coefficients are below tol
+    assert nil_witness_search(s, Element({2: 1e-13 + 0j}), 4) == NilAt(1)
+    strict = float_structure({1: [(2, 1e-12)], 2: [(3, 1.0)]}, 3, tol=1e-15)
+    assert nil_witness_search(strict, Element({1: 1 + 0j}), 4) == NilAt(3)
+
+
+def test_float_verify_natural_basis_uses_tol():
+    def forward(i):
+        if i == 1:
+            return Element({1: 1 + 0j, 2: 1e-13 + 0j})
+        return Element({i: 1 + 0j})
+
+    t = BasisTransform(forward, lambda k: Element({k: 1 + 0j}), band=1)
+    rows = {1: [(2, 1.0)], 2: [(1, 1.0)]}
+    assert verify_natural_basis(float_structure(rows, 2), t, 2) == \
+        NaturalOnWindow(2)
+    strict = verify_natural_basis(float_structure(rows, 2, tol=1e-15), t, 2)
+    assert (strict.i, strict.j, strict.kind) == (1, 2, "product")
+
+
+def test_float_subspace_chain_uses_tol():
+    rows = {1: [(3, 1.0), (4, 1.0)], 2: [(3, 1.0), (4, 1.0 + 1e-13)]}
+    # rows 1 and 2 agree within tol, so A^<2> is one-dimensional
+    assert subspace_chain(float_structure(rows, 4), 4) == [4, 1, 0, 0]
+    assert subspace_chain(float_structure(rows, 4, tol=1e-15), 4) == \
+        [4, 2, 0, 0]

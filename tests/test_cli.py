@@ -291,3 +291,27 @@ def test_element_json_round_trip(coeffs):
                  for v, (re, im) in coeffs.items()})
     back = parse_element(json.dumps(element_jsonable(e)), "exact")
     assert back == e
+
+
+def test_analyze_float_spec():
+    spec = json.dumps({"mode": "float", "tol": 1e-9, "n": 3,
+                       "rows": {"1": [[2, 0.5]], "2": [[3, [0.25, -1.5]]],
+                                "3": []}})
+    code, rep = report(["analyze", "-"], stdin=spec)
+    assert code == 0
+    assert rep["input"]["mode"] == "float"
+    res = rep["result"]
+    assert res["index"] == {"type": "IndexExact", "n": 4}
+    assert res["nil"]["status"] == res["nilpotent"]["status"] == "yes"
+
+
+def test_malformed_family_params_exit_2():
+    explicit = {"rows": {"1": [[2, 1]], "2": []}, "n": "x"}
+    for fam, params in (("markov_line", {"ratio": "abc"}),
+                        ("markov_line", {"ratio": "1/0"}),
+                        ("markov_line", {"ratio": [1]}),
+                        ("finite_explicit", explicit)):
+        code, out, err = invoke(["analyze", "--family", fam,
+                                 "--params", json.dumps(params)])
+        assert (code, out) == (2, ""), params
+        assert err.startswith("evolalg: InvalidParams:"), err

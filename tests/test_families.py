@@ -24,10 +24,6 @@ from evolalg import (
     path_is_valid,
     rary_children,
     rary_parent,
-    row_first,
-    row_tail_abs,
-    row_tail_sq,
-    row_upto,
     tree_id,
     tree_label,
 )
@@ -41,7 +37,7 @@ CYCLIC = ("alt_line_B", "alt_line_C0", "hub_line")
 
 
 def targets(row, window=10**9):
-    entries, _, _ = row_upto(row, window)
+    entries, _, _ = row.upto(window)
     return [k for k, _ in entries]
 
 
@@ -104,16 +100,16 @@ def test_markov_line_weights_and_tails():
     assert markov_weight(2, Fraction(1, 2)) == Fraction(1, 2)
     assert markov_weight(4, Fraction(1, 2)) == Fraction(1, 8)
     row1 = mk.row_of(1)
-    assert [str(w.re) for _, w in row_first(row1, 4)[0]] == \
+    assert [str(w.re) for _, w in row1.first(4)[0]] == \
         ["1/2", "1/4", "1/8", "1/16"]
-    assert row_tail_sq(row1, 5) == Fraction(1, 768)
-    assert row_tail_abs(row1, 5) == Fraction(1, 16)
+    assert row1.tail_sq(5) == Fraction(1, 768)
+    assert row1.tail_abs(5) == Fraction(1, 16)
     assert targets(mk.row_of(2)) == [3]
     assert targets(mk.column_of(1)) == []
     assert targets(mk.column_of(2)) == [1]
     assert targets(mk.column_of(5)) == [1, 4]
     third = build_family("markov_line", {"ratio": "1/3"})
-    assert [str(w.re) for _, w in row_first(third.row_of(1), 3)[0]] == \
+    assert [str(w.re) for _, w in third.row_of(1).first(3)[0]] == \
         ["2/3", "2/9", "2/27"]
     for bad in ("0", "1", "-1/2", "5/3"):
         with pytest.raises(InvalidParams):
@@ -126,21 +122,21 @@ def test_markov_tail_bounds_are_true_bounds():
         exact_sq = sum((markov_weight(j, q)) ** 2 for j in range(n + 1, n + 200))
         exact_abs = sum(markov_weight(j, q) for j in range(n + 1, n + 200))
         mk = build_family("markov_line")
-        assert row_tail_sq(mk.row_of(1), n) >= exact_sq
-        assert row_tail_abs(mk.row_of(1), n) >= exact_abs
+        assert mk.row_of(1).tail_sq(n) >= exact_sq
+        assert mk.row_of(1).tail_abs(n) >= exact_abs
 
 
 def test_hub_line_weights():
     hub = build_family("hub_line")
-    assert [(k, str(w.re)) for k, w in row_first(hub.row_of(1), 4)[0]] == \
+    assert [(k, str(w.re)) for k, w in hub.row_of(1).first(4)[0]] == \
         [(2, "1/2"), (3, "1/4"), (4, "1/8"), (5, "1/16")]
     paired = build_family("hub_line", {"alpha": "paired"})
-    assert [(k, str(w.re)) for k, w in row_first(paired.row_of(1), 5)[0]] == \
+    assert [(k, str(w.re)) for k, w in paired.row_of(1).first(5)[0]] == \
         [(2, "1/4"), (3, "1/4"), (4, "1/16"), (5, "1/16"), (6, "1/64")]
     # shared envelope alpha_l <= 2^-(l-1) backs both tail bounds
     for fam in (hub, paired):
-        assert row_tail_sq(fam.row_of(1), 3) == Fraction(1, 48)
-        assert row_tail_abs(fam.row_of(1), 3) == Fraction(1, 4)
+        assert fam.row_of(1).tail_sq(3) == Fraction(1, 48)
+        assert fam.row_of(1).tail_abs(3) == Fraction(1, 4)
     assert targets(hub.row_of(3)) == [2, 3]
     assert targets(hub.row_of(4)) == [4, 5]
     assert targets(hub.column_of(4))[0:1] == [1]
@@ -190,12 +186,12 @@ def test_rows_and_columns_transpose_consistently(name):
     window = 40
     from_rows = {}
     for i in range(1, window + 1):
-        entries, _, _ = row_upto(s.row_of(i), window)
+        entries, _, _ = s.row_of(i).upto(window)
         for k, w in entries:
             from_rows[(i, k)] = w
     from_cols = {}
     for k in range(1, window + 1):
-        entries, _, _ = row_upto(s.column_of(k), window)
+        entries, _, _ = s.column_of(k).upto(window)
         for i, w in entries:
             from_cols[(i, k)] = w
     assert from_rows == from_cols

@@ -23,8 +23,6 @@ from evolalg import (
     family_depth_oracle,
     path_is_valid,
     random_finite_structure,
-    row_first,
-    row_upto,
 )
 from evolalg.errors import (
     BudgetZero,
@@ -61,11 +59,11 @@ def test_lazy_row_prefix_and_window():
     assert enumerated == 3  # the probe that saw 6 counts
 
 
-def test_row_helpers_on_finite():
+def test_row_methods_on_finite():
     row = FiniteRow(((1, EX_ONE), (4, EX_ONE)))
-    assert row_first(row, 5) == ([(1, EX_ONE), (4, EX_ONE)], True)
-    assert row_upto(row, 3) == ([(1, EX_ONE)], False, 2)
-    assert row_upto(row, 4) == ([(1, EX_ONE), (4, EX_ONE)], True, 2)
+    assert row.first(5) == ([(1, EX_ONE), (4, EX_ONE)], True)
+    assert row.upto(3) == ([(1, EX_ONE)], False, 2)
+    assert row.upto(4) == ([(1, EX_ONE), (4, EX_ONE)], True, 2)
 
 
 def test_comb_generations_frozen():
@@ -218,3 +216,19 @@ def test_vertex_bounds_checked():
         two.row_of(3)
     with pytest.raises(InvalidParams):
         two.row_of(0)
+
+
+def test_depth_reads_wide_finite_rows_in_full():
+    # 198 entries exceed the lazy-row cap of 64 + 4*budget
+    wide = FiniteRow(tuple((k, EX_ONE) for k in range(2, 200)))
+    s = EvolutionStructure("exact", lambda i: wide if i == 1 else FiniteRow(()))
+    assert depth(s, 1, budget=3) == DepthExact(1)
+
+
+def test_float_path_is_valid_uses_tol():
+    rows = {1: [(2, 1e-13), (3, 1.0)], 2: [], 3: []}
+    s = EvolutionStructure.from_rows(rows, 3, mode="float", tol=1e-9)
+    assert path_is_valid(s, [1, 3])
+    assert not path_is_valid(s, [1, 2])
+    strict = EvolutionStructure.from_rows(rows, 3, mode="float", tol=1e-15)
+    assert path_is_valid(strict, [1, 2])

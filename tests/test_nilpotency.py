@@ -211,3 +211,12 @@ def test_finite_four_way_agreement(seed):
     else:
         assert isinstance(tri, CycleFound)
         assert r.index == IndexInfinite()
+
+
+def test_float_brute_force_uses_tol():
+    rows = {1: [(3, 1.0), (4, 1.0)], 2: [(3, 1.0), (4, 1.0 + 1e-13)]}
+    s = EvolutionStructure.from_rows(rows, 4, mode="float", tol=1e-9)
+    assert brute_force_nilpotent(s) == BruteForceReport((4, 1, 0, 0, 0, 0),
+                                                        True, 3)
+    strict = EvolutionStructure.from_rows(rows, 4, mode="float", tol=1e-15)
+    assert brute_force_nilpotent(strict).dims[:3] == (4, 2, 0)

@@ -14,6 +14,7 @@ from evolalg import (
     FamilyMeta,
     FiniteCertified,
     FiniteRow,
+    LazyRow,
     ONES,
     OperatorKind,
     PartialSum,
@@ -93,8 +94,6 @@ def test_summability_frozen():
 
 def test_summability_partial_when_no_tail():
     # a lazy row without tail bounds can only report its prefix
-    from evolalg import LazyRow
-
     def gen():
         k = 2
         while True:
@@ -199,3 +198,41 @@ def test_matrix_window_adjoint_is_conjugate_transpose(seed, n):
     for i in range(top):
         for k in range(top):
             assert gamma[k][i] == conj(omega[i][k])
+
+
+def lazy_column_structure():
+    # column 1 is lazy: w_k1 = 2^-k for k >= 2, with squared tail 4^-n
+    def gen():
+        k = 2
+        while True:
+            yield k, ExactScalar.from_rational(Fraction(1, 2 ** k))
+            k += 1
+
+    column = LazyRow(gen, tail_sq_bound=lambda n: Fraction(1, 4 ** n))
+    return EvolutionStructure("exact", lambda i: FiniteRow(()),
+                              column_fn=lambda k: column if k == 1
+                              else FiniteRow(()))
+
+
+def test_gamma_of_lazy_column_is_approximate():
+    img = apply_operator(lazy_column_structure(), OperatorKind.GAMMA,
+                         Element({1: EX_ONE}), cutoff=6)
+    assert isinstance(img, ApproxElement)
+    assert img.prefix == Element({k: ExactScalar.from_rational(
+        Fraction(1, 2 ** k)) for k in range(2, 7)})
+    assert img.tail_norm_bound == 0.015625
+
+
+def test_unweighted_adjoint_of_lazy_column_has_no_tail_bound():
+    with pytest.raises(NoTailBound):
+        apply_operator(lazy_column_structure(), OperatorKind.ADJ_T,
+                       Element({1: EX_ONE}), cutoff=6)
+
+
+def test_schur_sums_finite_rows_past_the_window():
+    # row i reaches i+50, far outside the window; the row sum is still 2
+    s = EvolutionStructure(
+        "exact", lambda i: FiniteRow(((i + 1, EX_ONE), (i + 50, EX_ONE))))
+    cert = schur_certificate(s, ONES, ONES, 1, 2, window=10)
+    assert cert.status == "refuted"
+    assert cert.refutation_index == ("row", 1)

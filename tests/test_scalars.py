@@ -144,3 +144,14 @@ def test_q2_division():
     assert Q2(1) / Q2(1, 1) == Q2(-1, 1)  # 1/(1+sqrt2) = sqrt2 - 1
     with pytest.raises(ZeroDivisionError):
         Q2(1) / Q2(0)
+
+
+def test_hash_agrees_with_equality_on_rationals():
+    assert Q2(1) == 1 and hash(Q2(1)) == hash(1)
+    assert len({Q2(1), 1}) == 1
+    half = Fraction(1, 2)
+    assert hash(Q2(half)) == hash(half)
+    assert hash(ExactScalar.from_rational(half)) == hash(half)
+    assert len({ExactScalar.from_rational(half), half, Q2(half)}) == 1
+    assert hash(ExactScalar(Q2(0, 1))) == hash(Q2(0, 1))
+    assert ExactScalar(1, 1) != 1
