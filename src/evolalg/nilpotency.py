@@ -33,9 +33,10 @@ from .graph import (
 )
 
 # classify() searches the window {1..min(budget + 8, CLASSIFY_WINDOW_CAP)}
-# for cycles, and at most CLASSIFY_SCAN_CAP vertices for one of infinite
-# depth.
+# for cycles, reading at most CLASSIFY_ENTRIES_PER_BUDGET * budget row
+# entries, and at most CLASSIFY_SCAN_CAP vertices for one of infinite depth.
 CLASSIFY_WINDOW_CAP = 4096
+CLASSIFY_ENTRIES_PER_BUDGET = 64
 CLASSIFY_SCAN_CAP = 256
 
 # -- witnesses ---------------------------------------------------------------
@@ -254,8 +255,8 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
 
     On infinite structures `budget` sets a window and an entry count: the
     cycle search and the long-path evidence cover the window {1..min(budget
-    + 8, CLASSIFY_WINDOW_CAP)} and may enumerate 64 * budget row entries
-    each.  The depth oracle is asked about the first min(budget,
+    + 8, CLASSIFY_WINDOW_CAP)} and may enumerate CLASSIFY_ENTRIES_PER_BUDGET
+    * budget row entries each.  The depth oracle is asked about the first min(budget,
     CLASSIFY_SCAN_CAP) vertices when looking for an infinite depth, and
     about the first `budget` when looking for unbounded depths.
     """
@@ -271,7 +272,8 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
 
     # Stage 1: oriented cycles decide everything.
     window = min(budget + 8, CLASSIFY_WINDOW_CAP)
-    path, completed = cycle_search(s, window, 64 * budget)
+    entries = CLASSIFY_ENTRIES_PER_BUDGET * budget
+    path, completed = cycle_search(s, window, entries)
     if path is not None:
         w = CycleWitness(tuple(path))
         nil = _no(f"oriented cycle through vertex {path[0]}", w)
@@ -289,7 +291,7 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
         reason = ("cycle search %s within window %d found no cycle; no "
                   "metadata to certify cycle-freeness"
                   % ("completed" if completed else "ran out of budget", window))
-        evidence = LongPath(_longest_path_evidence(s, window, 64 * budget))
+        evidence = LongPath(_longest_path_evidence(s, window, entries))
         verdict = _maybe(reason, evidence if len(evidence.path) >= 2 else None)
         idx = IndexAtLeast(len(evidence.path) + 1) if len(evidence.path) >= 2 else None
         return NilpotencyReport(verdict, verdict, idx, budget, tuple(notes))
