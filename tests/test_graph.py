@@ -28,6 +28,7 @@ from evolalg.errors import (
     BudgetZero,
     InvalidParams,
     NoColumnAccess,
+    NoTailBound,
     ValidationError,
 )
 from evolalg.scalars import EX_ONE, ExactScalar
@@ -64,6 +65,29 @@ def test_row_methods_on_finite():
     assert row.first(5) == ([(1, EX_ONE), (4, EX_ONE)], True)
     assert row.upto(3) == ([(1, EX_ONE)], False, 2)
     assert row.upto(4) == ([(1, EX_ONE), (4, EX_ONE)], True, 2)
+
+
+def test_finite_and_lazy_rows_answer_alike():
+    half = ExactScalar.from_rational(Fraction(1, 2))
+    entries = ((2, EX_ONE), (5, half), (9, EX_ONE))
+    finite = FiniteRow(entries)
+    lazy = LazyRow(lambda: iter(entries))
+    for row in (finite, lazy):
+        assert list(row) == list(entries)
+        assert row.first(2) == (list(entries[:2]), False)
+        assert row.upto(5) == (list(entries[:2]), False, 3)
+        assert list(row.prefix(cutoff=20)[0]) == list(entries)
+        assert row.prefix(cutoff=20)[1]
+        assert row.tail_sq(9) == row.tail_abs(9) == 0
+    # past the cutoff a finite row still answers in full, a lazy one does not
+    assert finite.tail_sq(4) == Fraction(5, 4)
+    assert finite.tail_abs(4) == Fraction(3, 2)
+    with pytest.raises(NoTailBound):
+        lazy.tail_sq(4)
+    assert lazy.tail_abs(4) is None
+    assert finite.prefix(cutoff=4) == (entries, True)
+    assert lazy.prefix(cutoff=4) == ([(2, EX_ONE)], False)
+    assert lazy.prefix(probe=1) == ([(2, EX_ONE)], False)
 
 
 def test_comb_generations_frozen():
