@@ -35,6 +35,19 @@ FLOAT = json.dumps({"mode": "float", "tol": 1e-9, "n": 3, "rows": {
     "3": []}})
 EXPLICIT_PARAMS = json.dumps({"n": 3, "rows": {
     "1": [[2, "1/2"], [3, "2"]], "2": [[3, "-1"]], "3": []}})
+# 1 -> 2 -> ... -> 40: in the window {1..39} the last vertex has its edge
+# leaving the window, so the whole window is blocked.
+CHAIN = json.dumps({"n": 40, "rows": {
+    str(i): [[i + 1, "1/2" if i % 2 else "-3"]] for i in range(1, 40)}})
+# random_finite_structure(693): cycle_search finds 1 -> 3 -> 5 -> 1 while
+# window triangularisation stops at the self-loop on 4.
+SEED_693 = json.dumps({"n": 5, "rows": {
+    "1": [[3, "-3/2"], [5, "1"]], "3": [[5, "-4/7"]], "4": [[4, "-5"]],
+    "5": [[1, "1/4"]]}})
+# 30 vertices, steps of 2 and 3: the longest path has 14 edges.
+DAG_30 = json.dumps({"n": 30, "rows": {
+    str(i): [[i + 2, "1/2"]] + ([[i + 3, "-1"]] if i % 4 == 1 else [])
+    for i in range(1, 29)}})
 
 FAMILIES = ["comb", "growing_teeth", "markov_line", "hub_line", "alt_line_B",
             "alt_line_C0", "rary_tree", "finite_explicit"]
@@ -78,6 +91,12 @@ def _cases():
               if spec == ACYCLIC else '{"3": 1}'], spec),
         ]
     cases.append((["families", "list"], None))
+    for spec, window in ((CHAIN, "39"), (SEED_693, "5"), (DAG_30, "30")):
+        cases += [
+            (["analyze", "-"], spec),
+            (["index", "-"], spec),
+            (["triangularize", "-", "--window", window], spec),
+        ]
     return cases
 
 
