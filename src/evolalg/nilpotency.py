@@ -159,29 +159,6 @@ class NilpotencyReport:
 # -- helpers -----------------------------------------------------------------
 
 
-def _finite_generations(s: EvolutionStructure):
-    """Exact D^m(V) sets for a finite universe until empty or surely cyclic.
-
-    Returns (generations, cyclic): `generations` is [D^0, D^1, ...]; when the
-    sets fail to die within n+1 steps the structure must contain a cycle and
-    the list is cut there.
-    """
-    n = s.universe
-    current = frozenset(range(1, n + 1))
-    gens = [current]
-    for _ in range(n + 1):
-        nxt = set()
-        for v in current:
-            entries, _ = s.row_of(v).first(n)
-            nxt.update(t for t, _ in entries)
-        current = frozenset(nxt)
-        if not current:
-            gens.append(current)
-            return gens, False
-        gens.append(current)
-    return gens, True
-
-
 def _materialise_ray(s: EvolutionStructure, start: int, length: int,
                      scan: int = 64):
     """Walk a ray prefix from `start`, preferring children the depth oracle
@@ -249,7 +226,11 @@ def _probe_increasing_depths(s: EvolutionStructure, limit: int):
 def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
     """Decide nil and nilpotency, with witnesses, within a budget.
 
-    Finite universes are decided exactly (the budget is advisory there).
+    Finite universes are decided exactly (the budget is advisory there): a
+    cycle search over the whole universe settles the verdict and supplies
+    the cycle witness; on a cycle-free structure a longest-path pass over
+    the sink-first order of :func:`triangularize_window` gives the index,
+    longest path + 2.  Each pass reads every row once.
     Infinite structures lean on family metadata where it exists; without it
     the only reachable certified verdict is "no" via a found cycle.
 
@@ -335,17 +316,21 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
 def _classify_finite(s: EvolutionStructure, budget: int) -> NilpotencyReport:
     n = s.universe
     notes = ["finite universe decided exactly; budget advisory"]
-    gens, cyclic = _finite_generations(s)
-    if cyclic:
-        path, completed = cycle_search(s, n, n * n + n + 8)
-        assert completed and path is not None, "generations never die => cycle"
+    entries = n * n + n + 8  # every row read in full
+    path, _ = cycle_search(s, n, entries)
+    if path is not None:
         w = CycleWitness(tuple(path))
         nil = _no(f"oriented cycle through vertex {path[0]}", w)
         return NilpotencyReport(nil, nil, IndexInfinite(), budget, tuple(notes))
-    index = IndexExact(len(gens))  # gens = [D^0, ..., D^{m} = empty]; n_r = m+1
+    # Sinks come first in the order, so every target's height is known.
+    height = {}
+    for v in triangularize_window(s, n, entries).order:
+        height[v] = max((height[t] + 1 for t, _w in s.row_of(v)), default=0)
+    longest = max(height.values())
     nil = _yes("finite and cycle-free: every principal power chain dies")
-    nilp = _yes(f"finite and cycle-free: D^{len(gens) - 1}(V) is empty")
-    return NilpotencyReport(nil, nilp, index, budget, tuple(notes))
+    nilp = _yes(f"finite and cycle-free: D^{longest + 1}(V) is empty")
+    return NilpotencyReport(nil, nilp, IndexExact(longest + 2), budget,
+                            tuple(notes))
 
 
 def nilpotency_index(s: EvolutionStructure, budget: int = 64):
@@ -387,7 +372,11 @@ def triangularize_window(s: EvolutionStructure, window: int,
     A vertex is removable once all its within-window targets are already
     removed.  Out-of-window targets block removal unless the family metadata
     promises walks never re-enter the window, or the universe fits inside it.
-    Smallest removable vertex first, so the order is deterministic.
+    Smallest removable vertex first, so the order is deterministic.  When
+    vertices remain, the same removal runs once more with blocking ignored:
+    an empty remainder gives :class:`Blocked`, otherwise the remainder is a
+    core in which a walk along smallest targets closes a cycle.  Each vertex
+    and edge is handled at most once per pass.
     `budget` counts row entries enumerated while reading the window's rows;
     running out raises :class:`BudgetZero`.
     """
@@ -418,47 +407,42 @@ def triangularize_window(s: EvolutionStructure, window: int,
         for t in targets:
             rev[t].append(v)
 
-    removed: list[int] = []
     done = set()
-    ready = [v for v in range(1, top + 1)
-             if not pending[v] and v not in stuck]
-    heapq.heapify(ready)
-    while ready:
-        v = heapq.heappop(ready)
-        if v in done:
-            continue
-        done.add(v)
-        removed.append(v)
-        for u in rev[v]:
-            if u in done:
-                continue
-            pending[u].discard(v)
-            if not pending[u] and u not in stuck:
-                heapq.heappush(ready, u)
 
-    if len(removed) == top:
-        return Permutation(tuple(removed))
+    def drain(blocked):
+        """Remove every vertex whose targets are all removed and which is not
+        blocked, smallest first; return them in removal order."""
+        order = []
+        ready = [v for v in range(1, top + 1)
+                 if v not in done and not pending[v] and v not in blocked]
+        heapq.heapify(ready)
+        while ready:
+            v = heapq.heappop(ready)
+            done.add(v)
+            order.append(v)
+            for u in rev[v]:
+                pending[u].discard(v)
+                if not pending[u] and u not in blocked:
+                    heapq.heappush(ready, u)
+        return order
 
-    remaining = set(range(1, top + 1)) - done
-    # Peel vertices with no surviving within-window targets; whatever is left
-    # is a core where every vertex has an out-edge into the core, which
-    # guarantees a within-window cycle.  An empty core means all blockage is
-    # due to edges leaving the window.
-    core = set(remaining)
-    peeled = True
-    while peeled:
-        peeled = False
-        for v in sorted(core):
-            if not (pending[v] & core):
-                core.discard(v)
-                peeled = True
+    order = drain(stuck)
+    if len(order) == top:
+        return Permutation(tuple(order))
+    remaining = frozenset(range(1, top + 1)) - done
+    # Drain again ignoring the blockage: whatever survives is a core where
+    # every vertex has an out-edge into the core, which guarantees a
+    # within-window cycle.  An empty core means all blockage is due to edges
+    # leaving the window.
+    drain(())
+    core = remaining - done
     if not core:
-        return Blocked(frozenset(remaining))
+        return Blocked(remaining)
     v = min(core)
     walk = [v]
     seen_at = {v: 0}
     while True:
-        nxt = min(pending[v] & core)
+        nxt = min(pending[v])  # the targets still pending are the core's
         if nxt in seen_at:
             cyc = walk[seen_at[nxt]:] + [nxt]
             return CycleFound(tuple(cyc))
