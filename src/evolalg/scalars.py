@@ -455,51 +455,47 @@ def scalar_str(x) -> str:
     return f"({format(x.real, '.17g')})+({format(x.imag, '.17g')})i"
 
 
-def up_sqrt_frac(x) -> Fraction:
-    """Rational upper bound on sqrt(x) for x >= 0 rational, Q2 or float."""
+def _sqrt_double(x, up: bool) -> Fraction:
+    """sqrt(x) for x >= 0 (rational, Q2 or float), rounded up or down to a
+    double.
+
+    The result is m * 2**e with m <= 2**53 and e >= -1074 (the subnormal
+    step), so it is representable as a float whenever it is below the
+    largest float.  Works on integers only: no float rounding is involved.
+    """
     if isinstance(x, Q2):
-        x = x.upper()  # monotone: sqrt of an upper bracket still bounds above
-    xf = x if isinstance(x, Fraction) else Fraction(x)
-    if xf < 0:
+        # monotone: the root of a bracket end bounds the root on that side
+        x = x.upper() if up else max(x.lower(), Fraction(0))
+    x = Fraction(x)
+    if x < 0:
         raise ValueError("negative operand")
-    if xf == 0:
-        return Fraction(0)
-    s = math.sqrt(float(xf))
-    fs = Fraction(s)
-    while fs * fs < xf:
-        s = math.nextafter(s, math.inf)
-        fs = Fraction(s)
-    return fs
+    if x == 0:
+        return x
+    p, q = x.numerator, x.denominator
+    # scaled by 2**-e0, the root has more than 53 bits
+    e0 = (p.bit_length() - q.bit_length()) // 2 - 55
+    num, den = (p << -2 * e0, q) if e0 < 0 else (p, q << 2 * e0)
+    scaled, rem = divmod(num, den)
+    root = isqrt(scaled)  # floor(sqrt(x) / 2**e0)
+    e = max(e0 + root.bit_length() - 53, -1074)
+    m = root >> (e - e0)
+    if up and (rem or root * root != scaled or m << (e - e0) != root):
+        m += 1
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def up_sqrt_frac(x) -> Fraction:
+    """Rational upper bound on sqrt(x) for x >= 0 rational, Q2 or float:
+    the smallest double at or above the root."""
+    return _sqrt_double(x, True)
 
 
 def down_sqrt_frac(x) -> Fraction:
-    """Rational lower bound on sqrt(x) for x >= 0."""
-    if isinstance(x, Q2):
-        x = max(x.lower(), Fraction(0))
-    xf = x if isinstance(x, Fraction) else Fraction(x)
-    if xf < 0:
-        raise ValueError("negative operand")
-    if xf == 0:
-        return Fraction(0)
-    s = math.sqrt(float(xf))
-    fs = Fraction(s)
-    while fs * fs > xf:
-        s = math.nextafter(s, 0.0)
-        fs = Fraction(s)
-    return fs
+    """Rational lower bound on sqrt(x) for x >= 0: the largest double at or
+    below the root."""
+    return _sqrt_double(x, False)
 
 
 def up_sqrt(x) -> float:
     """Float upper bound on sqrt(x); never rounds below the true root."""
-    return float(up_sqrt_frac(x)) if not isinstance(x, float) else _up_sqrt_float(x)
-
-
-def _up_sqrt_float(x: float) -> float:
-    if x < 0:
-        raise ValueError("negative operand")
-    if x == 0:
-        return 0.0
-    s = math.sqrt(x)
-    while Fraction(s) * Fraction(s) < Fraction(x):
-        s = math.nextafter(s, math.inf)
-    return s
+    return float(up_sqrt_frac(x))

@@ -136,6 +136,18 @@ def test_apply_operator():
     assert rep["result"] == {"image": [[1, "1/4", "0"], [2, "1", "0"]]}
 
 
+def test_apply_far_cutoff_bounds_a_tail_below_the_float_range():
+    # the squared tail norm (about 4**-cutoff) is below the smallest double
+    base = ["apply", "--family", "markov_line", "--op", "omega",
+            "--vector", '{"1":1}', "--cutoff"]
+    code, rep = report(base + ["600"])
+    assert code == 0
+    assert 0 < rep["result"]["image"]["tail_norm_bound"] < 1e-180
+    code, rep = report(base + ["2000"])
+    assert code == 0
+    assert rep["result"]["image"]["tail_norm_bound"] == 5e-324
+
+
 def test_bounds_schur():
     code, rep = report(["bounds", "--family", "markov_line",
                         "--schur", "ones,ones,1,2"])

@@ -3,6 +3,7 @@
 Expected values are computed by hand: (1+sqrt2)(1-sqrt2) = -1,
 1/(3+2*sqrt2) = 3-2*sqrt2, (1+sqrt2)^2 = 3+2*sqrt2, |3+4i| = 5.
 """
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -25,6 +26,7 @@ from evolalg.scalars import (
     q2_parse,
     q2_str,
     scalar_str,
+    up_sqrt,
     up_sqrt_frac,
 )
 
@@ -117,6 +119,33 @@ def test_sqrt_bracket_rigor(x):
     down = down_sqrt_frac(x)
     assert down * down <= x <= up * up
     assert down <= up
+
+
+@given(num=st.integers(1, 10**40), den=st.integers(1, 10**40),
+       shift=st.integers(-2300, 2000))
+def test_sqrt_bounds_are_adjacent_doubles(num, den, shift):
+    # shift spans roots below the smallest subnormal up to about 2**1000
+    x = Fraction(num, den) * Fraction(2) ** shift
+    up, down = up_sqrt_frac(x), down_sqrt_frac(x)
+    assert down * down <= x <= up * up
+    assert Fraction(float(up)) == up and Fraction(float(down)) == down
+    if down == 0:
+        assert up == Fraction(math.ulp(0.0))
+    else:
+        assert up in (down, Fraction(math.nextafter(float(down), math.inf)))
+
+
+def test_sqrt_bounds_outside_the_float_range():
+    tiny, huge = Fraction(1, 10**330), Fraction(10**330)
+    # float(tiny) is 0 and float(huge) overflows; the roots are ordinary
+    assert float(up_sqrt_frac(tiny)) == 1e-165
+    assert float(down_sqrt_frac(tiny)) == math.nextafter(1e-165, 0.0)
+    assert float(down_sqrt_frac(huge)) == 1e165
+    assert up_sqrt(huge) == math.nextafter(1e165, math.inf)
+    assert up_sqrt_frac(Fraction(9, 4)) == down_sqrt_frac(Fraction(9, 4)) == \
+        Fraction(3, 2)
+    assert up_sqrt(0.0) == 0.0 and up_sqrt(4.0) == 2.0
+    assert up_sqrt(2.0) == math.sqrt(2.0)  # nearest happens to lie above
 
 
 def test_as_scalar_modes():
