@@ -294,7 +294,7 @@ class EvolutionStructure:
                     raise ValidationError(f"row {i}: targets must be strictly increasing")
                 seen = k
                 wv = as_scalar(w, mode)
-                if is_zero(wv):
+                if is_zero(wv, tol):  # exact scalars ignore tol
                     raise ValidationError(f"row {i}: zero weight on edge to {k}")
                 converted.append((k, wv))
             table[i] = FiniteRow(tuple(converted))

@@ -256,7 +256,10 @@ def test_float_multiply_drops_coefficients_below_tol():
 
 
 def test_float_nil_witness_search_uses_tol():
-    s = float_structure({1: [(2, 1e-12)], 2: [(3, 1.0)]}, 3)
+    # from_rows refuses a weight at or below tol, so build the rows directly
+    rows = {1: FiniteRow(((2, 1e-12 + 0j),)), 2: FiniteRow(((3, 1 + 0j),))}
+    s = EvolutionStructure("float", lambda i: rows.get(i, FiniteRow(())), 3,
+                           tol=1e-9)
     # the only nonzero coefficient of v^2 is below tol
     assert nil_witness_search(s, Element({1: 1 + 0j}), 4) == NilAt(2)
     # v itself counts as zero when all its coefficients are below tol

@@ -251,8 +251,24 @@ def test_depth_reads_wide_finite_rows_in_full():
 
 def test_float_path_is_valid_uses_tol():
     rows = {1: [(2, 1e-13), (3, 1.0)], 2: [], 3: []}
-    s = EvolutionStructure.from_rows(rows, 3, mode="float", tol=1e-9)
+    # from_rows refuses a weight at or below tol, so build the rows directly
+    row1 = FiniteRow(((2, 1e-13 + 0j), (3, 1 + 0j)))
+    s = EvolutionStructure("float", lambda i: row1 if i == 1 else FiniteRow(()),
+                           3, tol=1e-9)
     assert path_is_valid(s, [1, 3])
     assert not path_is_valid(s, [1, 2])
     strict = EvolutionStructure.from_rows(rows, 3, mode="float", tol=1e-15)
     assert path_is_valid(strict, [1, 2])
+
+
+def test_float_from_rows_refuses_weights_within_tol():
+    # accepted, the 1e-13 edge would close a cycle for the graph code while
+    # every tol-aware consumer (brute force: nilpotent, index 3) drops it
+    rows = {1: [(2, 1e-13)], 2: [(1, 1.0)]}
+    with pytest.raises(ValidationError, match="zero weight on edge to 2"):
+        EvolutionStructure.from_rows(rows, 2, mode="float", tol=1e-9)
+    with pytest.raises(ValidationError):
+        EvolutionStructure.from_rows({1: [(2, 1e-9j)]}, 2, mode="float",
+                                     tol=1e-9)
+    kept = EvolutionStructure.from_rows(rows, 2, mode="float", tol=1e-15)
+    assert cycle_search(kept, 2, 16) == ([1, 2, 1], True)
