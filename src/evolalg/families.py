@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Optional
 
 from .errors import InvalidParams, OracleUnavailable
@@ -378,9 +379,7 @@ def _growing_block(i: int):
     """(k, offset) with offset 0 for the hub, 1..k on the tooth, k+1 the sink."""
     if i < 2:
         raise InvalidParams("vertex 1 is the leftmost sink, outside any block")
-    k = 1
-    while growing_teeth_hub(k + 1) <= i:
-        k += 1
+    k = (isqrt(8 * i + 9) - 3) // 2  # largest k with k(k+3)/2 <= i
     return k, i - growing_teeth_hub(k)
 
 

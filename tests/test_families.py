@@ -28,6 +28,7 @@ from evolalg import (
     tree_label,
 )
 from evolalg.errors import InvalidParams, OracleUnavailable
+from evolalg.families import _growing_block
 from evolalg.graph import INFINITE
 
 ALL = ("alt_line_B", "alt_line_C0", "comb", "growing_teeth", "hub_line",
@@ -92,6 +93,25 @@ def test_growing_teeth_layout_frozen():
         h = growing_teeth_hub(k)
         assert family_depth_oracle("growing_teeth", h) == k
         assert path_is_valid(gt, growing_teeth_tooth(k))
+
+
+def test_growing_block_closed_form_matches_hub_scan():
+    def scanned(i):
+        k = 1
+        while growing_teeth_hub(k + 1) <= i:
+            k += 1
+        return k, i - growing_teeth_hub(k)
+
+    for i in range(2, 5000):
+        assert _growing_block(i) == scanned(i)
+    # hub(k) = k(k+3)/2, so 10**12 lies in block 1414212
+    h = growing_teeth_hub(1414212)
+    assert h == 999_999_911_790
+    assert _growing_block(10**12) == (1414212, 10**12 - h)
+    assert _growing_block(h) == (1414212, 0)
+    assert _growing_block(h - 1) == (1414211, 1414212)  # sink of block k-1
+    with pytest.raises(InvalidParams):
+        _growing_block(1)
 
 
 def test_markov_line_weights_and_tails():
