@@ -24,7 +24,7 @@ from .scalars import (
     conj,
     is_zero,
     scalar_one,
-    up_sqrt,
+    up_float,
     up_sqrt_frac,
 )
 
@@ -168,7 +168,7 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
     dropped = Element({k: w for k, w in result.coeffs.items() if k > cutoff})
     if dropped.coeffs:
         tail_bound += norm_upper(dropped)
-    return ApproxElement(Element(kept), cutoff, float(tail_bound))
+    return ApproxElement(Element(kept), cutoff, up_float(tail_bound))
 
 
 def square_basis(s: EvolutionStructure, i: int, cutoff: Optional[int] = None):
@@ -249,11 +249,13 @@ def inner_product(u, v):
     """
     if isinstance(u, ApproxElement):
         val = inner_product(u.prefix, v)
-        bound = u.tail_norm_bound * up_sqrt(v.norm_sq())
+        bound = up_float(Fraction(u.tail_norm_bound)
+                         * up_sqrt_frac(v.norm_sq()))
         return val, bound
     if isinstance(v, ApproxElement):
         val = inner_product(u, v.prefix)
-        bound = v.tail_norm_bound * up_sqrt(u.norm_sq())
+        bound = up_float(Fraction(v.tail_norm_bound)
+                         * up_sqrt_frac(u.norm_sq()))
         return val, bound
     total = None
     for k in sorted(set(u.coeffs) & set(v.coeffs)):
@@ -382,4 +384,7 @@ def subspace_chain(s: EvolutionStructure, n_max: int):
                 products.append(multiply(s, x, e))
         current = _reduce_basis(products, tol)
         dims.append(len(current))
+        if dims[-1] == dims[-2]:
+            # A^<k+1> <= A^<k>, so equal dims give A^<k+2> = A^<k>*A = A^<k+1>
+            return dims + [dims[-1]] * (n_max - len(dims))
     return dims

@@ -41,6 +41,13 @@ LAZY_ROW_PROBE = 4096
 DEPTH_PROBE = 64
 DEPTH_PROBE_PER_LEVEL = 4
 
+# A window {1..window} on an infinite universe may span at most this many
+# vertices: windowed routines build a row and some state for every vertex in
+# it, so their time and memory grow with the window (a Schur certificate on
+# markov_line takes seconds at 4096 and grows faster than linearly).  A
+# finite universe clips the window to its own rows, which are already built.
+WINDOW_CEILING = 4096
+
 
 @dataclass(frozen=True)
 class FiniteRow:
@@ -262,6 +269,16 @@ class EvolutionStructure:
         """The last vertex of the window {1..window} that exists."""
         return window if self.universe is None else min(window, self.universe)
 
+    def window_top(self, window: int) -> int:
+        """``clip(window)`` of a window that is at least 1 and, on an
+        infinite universe, at most WINDOW_CEILING; InvalidParams otherwise."""
+        if window < 1:
+            raise InvalidParams("window must be >= 1")
+        if self.universe is None and window > WINDOW_CEILING:
+            raise InvalidParams(f"window {window} exceeds the ceiling "
+                                f"WINDOW_CEILING = {WINDOW_CEILING}")
+        return self.clip(window)
+
     def column_of(self, i: int) -> Row:
         self._check_vertex(i)
         if self._column_fn is None:
@@ -456,10 +473,8 @@ def cycle_search(s: EvolutionStructure, window: int, budget: int):
     was searched without running out of budget.  A None with
     ``completed=False`` proves nothing.
     """
-    if window < 1:
-        raise InvalidParams("window must be >= 1")
+    top = s.window_top(window)
     bud = _Budget(max(budget, 0))
-    top = s.clip(window)
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[int, int] = {}
     parent: dict[int, int] = {}
@@ -547,9 +562,7 @@ def degree(s: EvolutionStructure, i: int, direction: str, cap: int):
 
 def export_window_dot(s: EvolutionStructure, window: int) -> str:
     """DOT text of the induced window; exact weights render as exact strings."""
-    if window < 1:
-        raise InvalidParams("window must be >= 1")
-    top = s.clip(window)
+    top = s.window_top(window)
     lines = ["digraph evolution {"]
     for v in range(1, top + 1):
         lines.append(f"  {v};")

@@ -35,6 +35,7 @@ from .graph import (
 # classify() searches the window {1..min(budget + 8, CLASSIFY_WINDOW_CAP)}
 # for cycles, reading at most CLASSIFY_ENTRIES_PER_BUDGET * budget row
 # entries, and at most CLASSIFY_SCAN_CAP vertices for one of infinite depth.
+# Windows passed in from outside are capped by graph.WINDOW_CEILING.
 CLASSIFY_WINDOW_CAP = 4096
 CLASSIFY_ENTRIES_PER_BUDGET = 64
 CLASSIFY_SCAN_CAP = 256
@@ -380,11 +381,9 @@ def triangularize_window(s: EvolutionStructure, window: int,
     `budget` counts row entries enumerated while reading the window's rows;
     running out raises :class:`BudgetZero`.
     """
-    if window < 1:
-        raise InvalidParams("window must be >= 1")
+    top = s.window_top(window)
     if budget < 1:
         raise BudgetZero("triangularize needs a budget >= 1")
-    top = s.clip(window)
     exempt = (s.universe is not None and s.universe <= window) or (
         s.meta is not None and s.meta.no_window_reentry is True)
 

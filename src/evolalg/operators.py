@@ -134,9 +134,7 @@ def frobenius_certificate(s: EvolutionStructure, window: int) -> BoundCertificat
     (finite universe inside the window, or a family-level tail bound).
     Otherwise the partial sum is reported as inconclusive evidence.
     """
-    if window < 1:
-        raise InvalidParams("window must be >= 1")
-    top = s.clip(window)
+    top = s.window_top(window)
     total = Fraction(0)
     rows_certified = True
     for i in range(1, top + 1):
@@ -192,8 +190,7 @@ def schur_certificate(s: EvolutionStructure, alpha, beta, m1, m2,
     certificate (boundedness itself stays undecided); the first violation in
     scan order (rows ascending, then columns) is reported.
     """
-    if window < 1:
-        raise InvalidParams("window must be >= 1")
+    top = s.window_top(window)
     if not isinstance(alpha, SchurWeights):
         alpha = SchurWeights(alpha)
     if not isinstance(beta, SchurWeights):
@@ -202,7 +199,6 @@ def schur_certificate(s: EvolutionStructure, alpha, beta, m1, m2,
     m2 = Fraction(m2) if not isinstance(m2, Fraction) else m2
     if m1 <= 0 or m2 <= 0:
         raise InvalidParams("Schur constants must be positive")
-    top = s.clip(window)
 
     inconclusive = False
     for i in range(1, top + 1):

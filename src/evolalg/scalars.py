@@ -96,6 +96,8 @@ class Q2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.b and not o.b:  # both rational: one product
+            return Q2(self.a * o.a)
         return Q2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
@@ -315,6 +317,8 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:  # both real: one product
+            return ExactScalar(self.re * o.re)
         return ExactScalar(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -494,6 +498,12 @@ def down_sqrt_frac(x) -> Fraction:
     """Rational lower bound on sqrt(x) for x >= 0: the largest double at or
     below the root."""
     return _sqrt_double(x, False)
+
+
+def up_float(x: Fraction) -> float:
+    """The smallest double at or above x (``float`` rounds to nearest)."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if f < x else f
 
 
 def up_sqrt(x) -> float:

@@ -15,6 +15,7 @@ from evolalg import (
     NaturalOnWindow,
     NilAt,
     NotNilUpTo,
+    algebra,
     build_family,
     descendants_generation,
     inner_product,
@@ -215,6 +216,22 @@ def test_subspace_chain_frozen():
         subspace_chain(build_family("comb"), 3)
     with pytest.raises(InvalidParams):
         subspace_chain(EvolutionStructure.from_rows({}, 13), 2)
+
+
+def test_subspace_chain_stops_at_its_first_repeat(monkeypatch):
+    calls = []
+    reduce_basis = algebra._reduce_basis
+
+    def counting(vectors, tol=0.0):
+        calls.append(1)
+        return reduce_basis(vectors, tol)
+
+    monkeypatch.setattr(algebra, "_reduce_basis", counting)
+    assert subspace_chain(two_cycle(), 200) == [2] * 200
+    assert len(calls) == 1
+    calls.clear()
+    assert subspace_chain(shift_pair(), 200) == [2, 1] + [0] * 198
+    assert len(calls) == 3
 
 
 @settings(max_examples=30, deadline=None)

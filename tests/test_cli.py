@@ -4,6 +4,7 @@ import datetime
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -12,6 +13,7 @@ from hypothesis import given
 from evolalg import ExactScalar, Element, build_family, export_window_dot
 from evolalg._version import __version__
 from evolalg.cli import run
+from evolalg.graph import WINDOW_CEILING
 from evolalg.serialize import element_jsonable, parse_element, parse_structure
 
 
@@ -268,6 +270,26 @@ def test_validation_errors_exit_2():
         code, out, err = invoke(argv, stdin)
         assert (code, out) == (2, ""), argv
         assert err != ""
+
+
+def test_windows_past_the_ceiling_exit_2_at_once():
+    for argv in (["triangularize", "--family", "comb", "--window", "30000000"],
+                 ["export-dot", "--family", "comb",
+                  "--window", str(WINDOW_CEILING + 1)],
+                 ["bounds", "--family", "comb", "--frobenius",
+                  "--window", "30000000"],
+                 ["bounds", "--family", "markov_line", "--schur",
+                  "ones,ones,1,2", "--window", "30000000"]):
+        start = time.monotonic()
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        assert f"WINDOW_CEILING = {WINDOW_CEILING}" in err
+        assert time.monotonic() - start < 1.0
+    # a finite universe clips the window to its own size instead
+    code, rep = report(["triangularize", "-", "--window", "30000000"],
+                       TWO_CYCLE)
+    assert code == 0
+    assert rep["result"]["type"] == "CycleFound"
 
 
 def test_spec_file_and_universe_forms_agree(tmp_path):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from evolalg.scalars import (
     EX_INV_SQRT2,
@@ -26,6 +26,7 @@ from evolalg.scalars import (
     q2_parse,
     q2_str,
     scalar_str,
+    up_float,
     up_sqrt,
     up_sqrt_frac,
 )
@@ -133,6 +134,21 @@ def test_sqrt_bounds_are_adjacent_doubles(num, den, shift):
         assert up == Fraction(math.ulp(0.0))
     else:
         assert up in (down, Fraction(math.nextafter(float(down), math.inf)))
+
+
+@given(x=st.one_of(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+    # from far below the smallest subnormal to below the largest double
+    st.builds(lambda num, den, shift: Fraction(num, den) * Fraction(2) ** shift,
+              st.integers(-10**40, 10**40), st.integers(1, 10**40),
+              st.integers(-1100, 850))))
+@example(x=Fraction(1, 3))  # float(1/3) lies below 1/3
+@example(x=Fraction(-1, 3))
+@example(x=Fraction(0))
+def test_up_float_is_the_least_double_at_or_above(x):
+    up = up_float(x)
+    assert up >= x
+    assert math.nextafter(up, -math.inf) < x
 
 
 def test_sqrt_bounds_outside_the_float_range():
