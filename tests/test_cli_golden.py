@@ -49,6 +49,39 @@ DAG_30 = json.dumps({"n": 30, "rows": {
     str(i): [[i + 2, "1/2"]] + ([[i + 3, "-1"]] if i % 4 == 1 else [])
     for i in range(1, 29)}})
 
+
+
+def _weight(i, j):
+    """The j-th weight of row i, cycling through every exact weight form."""
+    kind = (i + j) % 5
+    if kind == 0:
+        return [i % 7 - 3 or 5]  # JSON integer
+    if kind == 1:
+        return [f"{i % 11 - 5 or 1}/{j + 2}"]
+    if kind == 2:
+        return [f"{i % 3 - 1}/{j + 3}+{i % 5 + 1}/2*sqrt2"]
+    if kind == 3:
+        return [[f"{i % 4}", f"-{j + 1}/3"]]  # [re, im] pair
+    return [f"{j + 1}/{i}", "1/2*sqrt2"]  # [target, re, im] entry
+
+
+def _sparse(n, back_edges=()):
+    """Forward edges of reach 1-4 on {1..n}, plus the given back edges."""
+    rows = {}
+    for i in range(1, n):
+        targets = {i + 2 + (i * 7 + d) % 3 for d in range(i % 3)}
+        if i % 37:
+            targets.add(i + 1)
+        targets |= {t for v, t in back_edges if v == i}
+        targets = sorted(t for t in targets if t <= n)
+        rows[str(i)] = [[t, *_weight(i, j)] for j, t in enumerate(targets)]
+    return json.dumps({"n": n, "rows": rows})
+
+
+# A 300-vertex sparse DAG and the same graph with one back edge.
+SPARSE_DAG = _sparse(300)
+SPARSE_CYCLIC = _sparse(300, back_edges=((290, 230),))
+
 FAMILIES = ["comb", "growing_teeth", "markov_line", "hub_line", "alt_line_B",
             "alt_line_C0", "rary_tree", "finite_explicit"]
 
@@ -91,7 +124,8 @@ def _cases():
               if spec == ACYCLIC else '{"3": 1}'], spec),
         ]
     cases.append((["families", "list"], None))
-    for spec, window in ((CHAIN, "39"), (SEED_693, "5"), (DAG_30, "30")):
+    for spec, window in ((CHAIN, "39"), (SEED_693, "5"), (DAG_30, "30"),
+                         (SPARSE_DAG, "300"), (SPARSE_CYCLIC, "300")):
         cases += [
             (["analyze", "-"], spec),
             (["index", "-"], spec),
