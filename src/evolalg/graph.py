@@ -14,6 +14,7 @@ certificate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
@@ -54,19 +55,22 @@ class FiniteRow:
     """Fully materialised row; entries strictly increasing by target.
 
     It shares its reading methods with :class:`LazyRow`; each returns what
-    the lazy row would return once materialised in full.
+    the lazy row would return once materialised in full.  The targets are
+    checked and kept as an int tuple once, when the row is built.
     """
 
     entries: Tuple[Entry, ...]
 
     def __post_init__(self):
+        targets = tuple([k for k, _w in self.entries])
         last = 0
-        for k, w in self.entries:
-            if k < 1:
-                raise ValidationError(f"vertex id {k} out of range")
-            if k <= last:
-                raise ValidationError("row entries must be strictly increasing")
+        for k in targets:
+            if k <= last:  # last starts at 0, so this also catches k < 1
+                raise ValidationError(
+                    f"vertex id {k} out of range" if k < 1
+                    else "row entries must be strictly increasing")
             last = k
+        object.__setattr__(self, "_targets", targets)
 
     def __iter__(self) -> Iterator[Entry]:
         return iter(self.entries)
@@ -77,9 +81,18 @@ class FiniteRow:
 
     def upto(self, max_vertex: int) -> Tuple[list, bool, int]:
         """(entries with target <= max_vertex, exhausted, entries enumerated)."""
-        out = [e for e in self.entries if e[0] <= max_vertex]
-        exhausted = len(out) == len(self.entries)
-        return out, exhausted, len(out) + (0 if exhausted else 1)
+        count = bisect_right(self._targets, max_vertex)
+        exhausted = count == len(self.entries)
+        return list(self.entries[:count]), exhausted, count + (not exhausted)
+
+    def targets_upto(self, max_vertex: int) -> Tuple[Sequence[int], bool, int]:
+        """(targets <= max_vertex, exhausted, entries enumerated), counted
+        like :meth:`upto`."""
+        targets = self._targets
+        count = bisect_right(targets, max_vertex)
+        if count == len(targets):
+            return targets, True, count
+        return targets[:count], False, count + 1
 
     def prefix(self, cutoff: Optional[int] = None,
                probe: int = LAZY_ROW_PROBE) -> Tuple[Sequence[Entry], bool]:
@@ -159,6 +172,11 @@ class LazyRow:
             if self._cache[n][0] > max_vertex:
                 return self._cache[:n], False, n + 1
             n += 1
+
+    def targets_upto(self, max_vertex: int) -> Tuple[Sequence[int], bool, int]:
+        """:meth:`upto` with the targets alone."""
+        entries, exhausted, enumerated = self.upto(max_vertex)
+        return tuple(k for k, _w in entries), exhausted, enumerated
 
     def prefix(self, cutoff: Optional[int] = None,
                probe: int = LAZY_ROW_PROBE) -> Tuple[Sequence[Entry], bool]:
@@ -293,7 +311,12 @@ class EvolutionStructure:
     @classmethod
     def from_rows(cls, rows: dict, n: int, mode: str = "exact",
                   tol: float = 1e-12) -> "EvolutionStructure":
-        """Finite structure from an explicit row map {i: [(target, weight), ...]}."""
+        """Finite structure from an explicit row map {i: [(target, weight), ...]}.
+
+        Each entry is checked once: its weight here, its target order by
+        :class:`FiniteRow`.  The column table is built on the first
+        ``column_of``.
+        """
         if n < 1:
             raise ValidationError("universe size must be >= 1")
         table: dict[int, FiniteRow] = {}
@@ -301,32 +324,39 @@ class EvolutionStructure:
             i = int(i)
             if not 1 <= i <= n:
                 raise ValidationError(f"row index {i} outside universe 1..{n}")
-            seen = 0
             converted = []
             for k, w in entries:
                 k = int(k)
-                if not 1 <= k <= n:
-                    raise ValidationError(f"target {k} outside universe 1..{n}")
-                if k <= seen:
-                    raise ValidationError(f"row {i}: targets must be strictly increasing")
-                seen = k
                 wv = as_scalar(w, mode)
                 if is_zero(wv, tol):  # exact scalars ignore tol
                     raise ValidationError(f"row {i}: zero weight on edge to {k}")
                 converted.append((k, wv))
-            table[i] = FiniteRow(tuple(converted))
+            try:
+                table[i] = FiniteRow(tuple(converted))
+            except ValidationError as e:
+                raise ValidationError(f"row {i}: {e}") from None
+            if converted and converted[-1][0] > n:  # the largest target
+                raise ValidationError(f"row {i}: target {converted[-1][0]} "
+                                      f"outside universe 1..{n}")
         empty = FiniteRow(())
-        cols: dict[int, list] = {}
-        for i in sorted(table):
-            for k, w in table[i].entries:
-                cols.setdefault(k, []).append((i, w))
-        col_table = {k: FiniteRow(tuple(v)) for k, v in cols.items()}
+        columns: Optional[dict] = None
+
+        def column_fn(k: int) -> FiniteRow:
+            nonlocal columns
+            if columns is None:
+                cols: dict[int, list] = {}
+                for i in sorted(table):
+                    for t, w in table[i].entries:
+                        cols.setdefault(t, []).append((i, w))
+                columns = {t: FiniteRow(tuple(v)) for t, v in cols.items()}
+            return columns.get(k, empty)
+
         src = {"kind": "explicit", "mode": mode, "n": n,
-               "rows": {i: list(r.entries) for i, r in sorted(table.items())}}
+               "rows": {i: r.entries for i, r in sorted(table.items())}}
         return cls(mode,
                    row_fn=lambda i: table.get(i, empty),
                    universe=n,
-                   column_fn=lambda i: col_table.get(i, empty),
+                   column_fn=column_fn,
                    tol=tol,
                    source=src)
 
@@ -473,35 +503,49 @@ def cycle_search(s: EvolutionStructure, window: int, budget: int):
     was searched without running out of budget.  A None with
     ``completed=False`` proves nothing.
     """
+    path, _finished, _targets, completed = window_dfs(s, window, budget)
+    return path, completed
+
+
+def window_dfs(s: EvolutionStructure, window: int, budget: int):
+    """The depth-first search behind :func:`cycle_search`, with what it read.
+
+    Starts from each unvisited vertex of {1..window} in increasing order and
+    follows targets in increasing order.  Returns ``(path, finished,
+    targets, completed)``: `path` and `completed` as in
+    :func:`cycle_search`; `finished` lists the vertices in the order the
+    search finished them, each after all of its descendants, so on a
+    cycle-free window sinks come first; `targets` maps each vertex read to
+    its targets within the window.  Iterative, so long paths cannot overflow
+    the interpreter stack.
+    """
     top = s.window_top(window)
     bud = _Budget(max(budget, 0))
     WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
+    color = [WHITE] * (top + 1)
     parent: dict[int, int] = {}
-    adj_cache: dict[int, list] = {}
+    adjacency: dict[int, Sequence[int]] = {}
+    finished: list[int] = []
 
-    def adjacency(v):
-        if v not in adj_cache:
-            entries, _, enumerated = s.row_of(v).upto(top)
-            if not bud.take(max(enumerated, 1)):
-                return None
-            adj_cache[v] = [k for k, _ in entries]
-        return adj_cache[v]
+    def read(v):
+        targets, _, enumerated = s.row_of(v).targets_upto(top)
+        if not bud.take(max(enumerated, 1)):
+            return None
+        adjacency[v] = targets
+        return targets
 
     for start in range(1, top + 1):
-        if color.get(start, WHITE) != WHITE:
+        if color[start] != WHITE:
             continue
-        stack = [(start, 0)]
+        targets = read(start)
+        if targets is None:
+            return None, finished, adjacency, False  # budget exhausted
         color[start] = GRAY
+        stack = [(start, iter(targets))]
         while stack:
-            v, idx = stack.pop()
-            targets = adjacency(v)
-            if targets is None:
-                return None, False  # budget exhausted
-            if idx < len(targets):
-                stack.append((v, idx + 1))
-                k = targets[idx]
-                c = color.get(k, WHITE)
+            v, pending = stack[-1]
+            for k in pending:
+                c = color[k]
                 if c == GRAY:
                     # k is on the current DFS path: walk back up to it
                     path = [v]
@@ -511,14 +555,20 @@ def cycle_search(s: EvolutionStructure, window: int, budget: int):
                         path.append(cur)
                     path.reverse()
                     path.append(k)
-                    return path, True
+                    return path, finished, adjacency, True
                 if c == WHITE:
+                    targets = read(k)
+                    if targets is None:
+                        return None, finished, adjacency, False
                     color[k] = GRAY
                     parent[k] = v
-                    stack.append((k, 0))
+                    stack.append((k, iter(targets)))
+                    break
             else:
+                stack.pop()
                 color[v] = BLACK
-    return None, True
+                finished.append(v)
+    return None, finished, adjacency, True
 
 
 def path_is_valid(s: EvolutionStructure, path: Sequence[int]) -> bool:

@@ -30,6 +30,7 @@ from .graph import (
     cycle_search,
     depth,
     path_is_valid,
+    window_dfs,
 )
 
 # classify() searches the window {1..min(budget + 8, CLASSIFY_WINDOW_CAP)}
@@ -227,11 +228,12 @@ def _probe_increasing_depths(s: EvolutionStructure, limit: int):
 def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
     """Decide nil and nilpotency, with witnesses, within a budget.
 
-    Finite universes are decided exactly (the budget is advisory there): a
-    cycle search over the whole universe settles the verdict and supplies
-    the cycle witness; on a cycle-free structure a longest-path pass over
-    the sink-first order of :func:`triangularize_window` gives the index,
-    longest path + 2.  Each pass reads every row once.
+    Finite universes are decided exactly (the budget is advisory there) by
+    one depth-first search over the whole universe, the one
+    :func:`cycle_search` runs: a cycle it meets settles the verdict and is
+    the witness; on a cycle-free structure it finishes sinks first, and a
+    longest-path pass over that order gives the index, longest path + 2.
+    Every row is read once.
     Infinite structures lean on family metadata where it exists; without it
     the only reachable certified verdict is "no" via a found cycle.
 
@@ -318,16 +320,17 @@ def _classify_finite(s: EvolutionStructure, budget: int) -> NilpotencyReport:
     n = s.universe
     notes = ["finite universe decided exactly; budget advisory"]
     entries = n * n + n + 8  # every row read in full
-    path, _ = cycle_search(s, n, entries)
+    path, finished, targets, _ = window_dfs(s, n, entries)
     if path is not None:
         w = CycleWitness(tuple(path))
         nil = _no(f"oriented cycle through vertex {path[0]}", w)
         return NilpotencyReport(nil, nil, IndexInfinite(), budget, tuple(notes))
-    # Sinks come first in the order, so every target's height is known.
-    height = {}
-    for v in triangularize_window(s, n, entries).order:
-        height[v] = max((height[t] + 1 for t, _w in s.row_of(v)), default=0)
-    longest = max(height.values())
+    # The search finished every vertex after its targets, so their heights
+    # are known.
+    height = [0] * (n + 1)
+    for v in finished:
+        height[v] = max([height[t] + 1 for t in targets[v]], default=0)
+    longest = max(height)
     nil = _yes("finite and cycle-free: every principal power chain dies")
     nilp = _yes(f"finite and cycle-free: D^{longest + 1}(V) is empty")
     return NilpotencyReport(nil, nilp, IndexExact(longest + 2), budget,
@@ -387,40 +390,43 @@ def triangularize_window(s: EvolutionStructure, window: int,
     exempt = (s.universe is not None and s.universe <= window) or (
         s.meta is not None and s.meta.no_window_reentry is True)
 
-    pending: dict[int, set] = {}
+    # pending[v] counts the targets of v not removed yet (a row's targets
+    # are distinct, and a self-loop returns at once)
+    targets_of: list = [()] * (top + 1)
+    pending = [0] * (top + 1)
     stuck = set()
-    rev: dict[int, list] = {v: [] for v in range(1, top + 1)}
+    rev: list = [[] for _ in range(top + 1)]
     entries_left = budget
     for v in range(1, top + 1):
-        entries, exhausted, used = s.row_of(v).upto(top)
+        targets, exhausted, used = s.row_of(v).targets_upto(top)
         entries_left -= max(used, 1)
         if entries_left < 0:
             raise BudgetZero(f"row enumeration budget exhausted at vertex {v}")
-        targets = {t for t, _w in entries if t != v}
-        if any(t == v for t, _w in entries):
+        if v in targets:
             # self-loop: immediate cycle
             return CycleFound((v, v))
         if not exhausted and not exempt:
             stuck.add(v)
-        pending[v] = targets
+        targets_of[v] = targets
+        pending[v] = len(targets)
         for t in targets:
             rev[t].append(v)
 
-    done = set()
+    done = [False] * (top + 1)
 
     def drain(blocked):
         """Remove every vertex whose targets are all removed and which is not
         blocked, smallest first; return them in removal order."""
         order = []
         ready = [v for v in range(1, top + 1)
-                 if v not in done and not pending[v] and v not in blocked]
+                 if not done[v] and not pending[v] and v not in blocked]
         heapq.heapify(ready)
         while ready:
             v = heapq.heappop(ready)
-            done.add(v)
+            done[v] = True
             order.append(v)
             for u in rev[v]:
-                pending[u].discard(v)
+                pending[u] -= 1
                 if not pending[u] and u not in blocked:
                     heapq.heappush(ready, u)
         return order
@@ -428,20 +434,21 @@ def triangularize_window(s: EvolutionStructure, window: int,
     order = drain(stuck)
     if len(order) == top:
         return Permutation(tuple(order))
-    remaining = frozenset(range(1, top + 1)) - done
+    remaining = frozenset(v for v in range(1, top + 1) if not done[v])
     # Drain again ignoring the blockage: whatever survives is a core where
     # every vertex has an out-edge into the core, which guarantees a
     # within-window cycle.  An empty core means all blockage is due to edges
     # leaving the window.
     drain(())
-    core = remaining - done
+    core = [v for v in remaining if not done[v]]
     if not core:
         return Blocked(remaining)
     v = min(core)
     walk = [v]
     seen_at = {v: 0}
     while True:
-        nxt = min(pending[v])  # the targets still pending are the core's
+        # the targets not removed are the core's
+        nxt = min(t for t in targets_of[v] if not done[t])
         if nxt in seen_at:
             cyc = walk[seen_at[nxt]:] + [nxt]
             return CycleFound(tuple(cyc))

@@ -294,15 +294,15 @@ def left_mult_bound(s: EvolutionStructure, v: Element) -> float:
 
 
 def matrix_window(s: EvolutionStructure, kind: OperatorKind, n: int):
-    """Dense n x n window; entry (i, k) is w_ik, a_ik, or the conjugate
-    transpose for the adjoint kinds.  Lists are 0-indexed: entry [i-1][k-1]."""
+    """Dense top x top window, where top = ``s.window_top(n)``: n clipped to
+    a finite universe, and refused past WINDOW_CEILING on an infinite one.
+    Entry (i, k) is w_ik, a_ik, or the conjugate transpose for the adjoint
+    kinds.  Lists are 0-indexed: entry [i-1][k-1]."""
     if not isinstance(kind, OperatorKind):
         kind = OperatorKind(kind)
-    if n < 1:
-        raise InvalidParams("window must be >= 1")
-    top = s.clip(n)
+    top = s.window_top(n)
     zero = scalar_zero(s.mode)
-    mat = [[zero for _ in range(n)] for _ in range(n)]
+    mat = [[zero] * top for _ in range(top)]
     weight = _weight_map(kind, s.mode)
     for i in range(1, top + 1):
         entries, _, _ = s.row_of(i).upto(top)

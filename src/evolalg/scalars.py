@@ -16,9 +16,12 @@ we must round, we round *up*, so every reported bound is a true upper bound.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from math import isqrt
 from typing import Union
+
+from .errors import InvalidParams
 
 # Rational brackets for sqrt2, accurate to 1e-30.  Used when a Q2 value has
 # to be bounded by rationals (e.g. inside certified tail computations).
@@ -29,13 +32,33 @@ SQRT2_HI = Fraction(_S2_FLOOR + 1, _S2_SCALE)
 
 _FracLike = Union[int, Fraction, str]
 
+# Shared zero component: most values are rational or real, so most Q2 and
+# ExactScalar components are zero, and a Fraction is immutable.
+_F0 = Fraction(0)
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        return Fraction(x) if x != 0 else _F0
     raise TypeError(f"not a rational value: {x!r}")
+
+
+def _plain_rational(s: str):
+    """``Fraction(s)`` for a plain ASCII "[-]digits[/digits]" literal with a
+    nonzero denominator; None for any other string, which ``Fraction(s)``
+    then reads (or refuses) itself."""
+    sign = -1 if s[:1] == "-" else 1
+    num, slash, den = (s[1:] if sign < 0 else s).partition("/")
+    if not (num.isascii() and num.isdigit()):
+        return None
+    if not slash:
+        return Fraction(sign * int(num))
+    if not (den.isascii() and den.isdigit()):
+        return None
+    p, q = int(num), int(den)  # the order Fraction(s) converts them in
+    return Fraction(sign * p, q) if q else None
 
 
 def _frac_sqrt(x: Fraction):
@@ -53,9 +76,9 @@ class Q2:
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: _FracLike = 0, b: _FracLike = 0):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+    def __init__(self, a: _FracLike = _F0, b: _FracLike = _F0):
+        object.__setattr__(self, "a", a if type(a) is Fraction else _as_fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else _as_fraction(b))
 
     def __setattr__(self, *_):
         raise AttributeError("Q2 is immutable")
@@ -137,7 +160,7 @@ class Q2:
         return 1 if 2 * b * b > a * a else -1
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return bool(self.a) or bool(self.b)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -233,22 +256,35 @@ Q2_ONE = Q2(1)
 Q2_SQRT2 = Q2(0, 1)
 
 
+def fraction_str(x: Fraction) -> str:
+    """``str(x)``; InvalidParams when a numerator or denominator has more
+    digits than the interpreter converts to text."""
+    try:
+        return str(x)
+    except ValueError as e:  # past sys.get_int_max_str_digits()
+        raise InvalidParams(
+            f"a value has more digits than the limit of "
+            f"{sys.get_int_max_str_digits()} (sys.get_int_max_str_digits()) "
+            f"for printing an integer; use a smaller window or cutoff") from e
+
+
 def q2_str(q: Q2) -> str:
     """Render as "p/q", "r/s*sqrt2" or "p/q+r/s*sqrt2" (exactly invertible)."""
     if q.b == 0:
-        return str(q.a)
-    tail = f"{abs(q.b)}*sqrt2"
+        return fraction_str(q.a)
+    tail = f"{fraction_str(abs(q.b))}*sqrt2"
     if q.a == 0:
         return tail if q.b > 0 else "-" + tail
     sep = "+" if q.b > 0 else "-"
-    return f"{q.a}{sep}{tail}"
+    return f"{fraction_str(q.a)}{sep}{tail}"
 
 
 def q2_parse(text: str) -> Q2:
     """Inverse of :func:`q2_str`; plain "p/q" strings are accepted."""
     s = text.strip().replace(" ", "")
     if "sqrt2" not in s:
-        return Q2(Fraction(s))
+        q = _plain_rational(s)
+        return Q2(Fraction(s) if q is None else q)
     if s.endswith("sqrt2") and not s.endswith("*sqrt2"):
         # bare "sqrt2" / "-sqrt2" / "3+sqrt2": insert the implicit 1
         s = s[: -len("sqrt2")] + "1*sqrt2"
@@ -271,7 +307,7 @@ class ExactScalar:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re=Q2_ZERO, im=Q2_ZERO):
         object.__setattr__(self, "re", re if isinstance(re, Q2) else Q2(re))
         object.__setattr__(self, "im", im if isinstance(im, Q2) else Q2(im))
 

@@ -29,7 +29,7 @@ from .algebra import ApproxElement, Element
 from .errors import ParseError
 from .families import FamilySpec, build_family
 from .graph import EvolutionStructure
-from .scalars import ExactScalar, Q2, q2_parse, q2_str
+from .scalars import ExactScalar, Q2, fraction_str, q2_parse, q2_str
 
 # -- weights -----------------------------------------------------------------
 
@@ -239,7 +239,7 @@ def jsonable(x):
             return "infinity" if x > 0 else "-infinity"
         return x
     if isinstance(x, Fraction):
-        return str(x)
+        return fraction_str(x)
     if isinstance(x, Q2):
         return q2_str(x)
     if isinstance(x, ExactScalar):

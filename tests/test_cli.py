@@ -3,13 +3,17 @@ import contextlib
 import datetime
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import given
 
+import evolalg
 from evolalg import ExactScalar, Element, build_family, export_window_dot
 from evolalg._version import __version__
 from evolalg.cli import run
@@ -290,6 +294,31 @@ def test_windows_past_the_ceiling_exit_2_at_once():
                        TWO_CYCLE)
     assert code == 0
     assert rep["result"]["type"] == "CycleFound"
+
+
+def test_values_past_the_digit_limit_exit_2():
+    # markov_line with ratio 1/1000 has weights 1000^-k: at k = 1434 the
+    # denominator passes sys.get_int_max_str_digits() (4300 by default)
+    params = ["--family", "markov_line", "--params", '{"ratio": "1/1000"}']
+    for argv in (["export-dot", *params, "--window", "2000"],
+                 ["apply", *params, "--op", "omega", "--vector", '{"1": 1}',
+                  "--cutoff", "2000"]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        assert "sys.get_int_max_str_digits()" in err
+        assert str(sys.get_int_max_str_digits()) in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(evolalg.__file__).resolve().parents[1]))
+    for argv, want in ((["families", "list"], 0), (["analyze"], 64),
+                       (["analyze", "-"], 0)):
+        done = subprocess.run([sys.executable, "-m", "evolalg", *argv],
+                              input=TWO_CYCLE, capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == want, (argv, done.stderr)
+    assert json.loads(done.stdout)["result"]["nil"]["status"] == "no"
 
 
 def test_spec_file_and_universe_forms_agree(tmp_path):

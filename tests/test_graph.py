@@ -67,6 +67,18 @@ def test_row_methods_on_finite():
     assert row.upto(4) == ([(1, EX_ONE), (4, EX_ONE)], True, 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(targets=st.lists(st.integers(1, 60), unique=True, max_size=12),
+       top=st.integers(0, 70))
+def test_targets_upto_agrees_with_upto(targets, top):
+    entries = tuple((k, EX_ONE) for k in sorted(targets))
+    for row in (FiniteRow(entries), LazyRow(lambda: iter(entries))):
+        got, exhausted, enumerated = row.targets_upto(top)
+        want, want_exhausted, want_enumerated = row.upto(top)
+        assert list(got) == [k for k, _ in want]
+        assert (exhausted, enumerated) == (want_exhausted, want_enumerated)
+
+
 def test_finite_and_lazy_rows_answer_alike():
     half = ExactScalar.from_rational(Fraction(1, 2))
     entries = ((2, EX_ONE), (5, half), (9, EX_ONE))

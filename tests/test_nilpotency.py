@@ -123,6 +123,31 @@ def test_classify_finite_exact():
     assert r.index == IndexExact(3)
 
 
+def test_classify_finite_witness_is_the_cycle_search_path():
+    for seed in range(2000):
+        s = random_finite_structure(seed)
+        n = s.universe
+        path, completed = cycle_search(s, n, n * n + n + 8)
+        assert completed
+        witness = classify(s).nil.witness
+        if path is None:
+            assert witness is None
+        else:
+            assert witness.path == tuple(path), seed
+
+
+def test_classify_long_chain_and_its_closed_cycle():
+    # the search is iterative: a 10^5-vertex path overflows no stack
+    n = 100_000
+    rows = {i: [(i + 1, 1)] for i in range(1, n)}
+    assert classify(EvolutionStructure.from_rows(rows, n)).index == \
+        IndexExact(n + 1)
+    rows[n] = [(1, 1)]
+    r = classify(EvolutionStructure.from_rows(rows, n))
+    assert r.index == IndexInfinite()
+    assert r.nil.witness.path == (*range(1, n + 1), 1)
+
+
 def test_classify_without_metadata_is_inconclusive():
     # an infinite structure with no family facts: only evidence, no verdict
     one = shift_pair().row_of(1).entries[0][1]

@@ -31,6 +31,7 @@ from evolalg import (
     summability_check,
 )
 from evolalg.errors import InvalidParams, NoTailBound
+from evolalg.graph import WINDOW_CEILING
 from evolalg.scalars import EX_ONE, ExactScalar, Q2, conj, is_zero
 
 
@@ -186,6 +187,17 @@ def test_matrix_window_frozen():
         [zero, zero, EX_ONE],
         [zero, zero, zero],
     ]
+
+
+def test_matrix_window_spans_only_what_exists():
+    pair = EvolutionStructure.from_rows({1: [(2, 3)]}, 2)
+    zero = ExactScalar.from_rational(0)
+    three = ExactScalar.from_rational(3)
+    assert matrix_window(pair, OperatorKind.OMEGA, 2000) == [[zero, three],
+                                                             [zero, zero]]
+    with pytest.raises(InvalidParams, match="WINDOW_CEILING"):
+        matrix_window(build_family("comb"), OperatorKind.OMEGA,
+                      WINDOW_CEILING + 1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -23,6 +23,7 @@ from evolalg.scalars import (
     as_scalar,
     down_sqrt_frac,
     is_zero,
+    _plain_rational,
     q2_parse,
     q2_str,
     scalar_str,
@@ -85,6 +86,35 @@ def test_q2_parse_forms():
     assert q2_parse("sqrt2") == Q2(0, 1)
     assert q2_parse("-sqrt2") == Q2(0, -1)
     assert q2_parse("2*sqrt2") == Q2(0, 2)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e), str(e)
+
+
+@given(text=st.one_of(
+    st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/_.eE\u0661\u00b2", max_size=12)))
+@example(text="1/0")
+@example(text="-0/7")
+@example(text="+3")
+@example(text="1_000/3")
+@example(text="\u0661\u0662")  # Arabic-Indic digits, which int() reads
+@example(text="7" * 4301)  # past the interpreter's int-to-str digit limit
+@example(text="1/" + "7" * 4301)
+def test_q2_parse_reads_rationals_exactly_as_fraction_does(text):
+    assert _outcome(q2_parse, text) == _outcome(lambda s: Q2(Fraction(s)),
+                                                text)
+
+
+def test_plain_rational_takes_only_plain_literals():
+    assert _plain_rational("-13/7") == Fraction(-13, 7)
+    assert _plain_rational("042") == 42
+    for text in ("1/0", "+3", "1_0", "1.5", "1e3", "\u0661", "-", "", "1/"):
+        assert _plain_rational(text) is None, text
 
 
 def test_exact_scalar_complex_arithmetic():
