@@ -43,7 +43,6 @@ from .graph import (
     degree,
     depth,
     descendants_generation,
-    enumerate_row,
     export_window_dot,
     path_is_valid,
 )

@@ -98,7 +98,6 @@ def _build_rary_tree(params: dict) -> EvolutionStructure:
         cycle_free=True,
         depth_oracle=lambda i: INFINITE,
         sup_depth=INFINITE,
-        locally_finite=True,
         all_depths_finite=False,
         longest_path=INFINITE,
         no_window_reentry=True,
@@ -167,7 +166,6 @@ def _build_markov_line(params: dict) -> EvolutionStructure:
         # every i >= 2 heads an infinite ray i -> i+1 -> ...
         depth_oracle=lambda i: 1 if i == 1 else INFINITE,
         sup_depth=INFINITE,
-        locally_finite=False,
         all_depths_finite=False,
         longest_path=INFINITE,
         no_window_reentry=True,
@@ -200,7 +198,6 @@ def _build_alt_line_B(params: dict) -> EvolutionStructure:
         cycle_free=False,  # self-loop at every even vertex
         depth_oracle=lambda i: INFINITE,
         sup_depth=INFINITE,
-        locally_finite=True,
         all_depths_finite=False,
     )
     return EvolutionStructure("exact", row, None, col, meta,
@@ -239,7 +236,6 @@ def _build_alt_line_C0(params: dict) -> EvolutionStructure:
         cycle_free=False,  # every row contains its own index
         depth_oracle=lambda i: INFINITE,
         sup_depth=INFINITE,
-        locally_finite=True,
         all_depths_finite=False,
     )
     return EvolutionStructure("exact", row, None, col, meta,
@@ -295,7 +291,6 @@ def _build_hub_line(params: dict) -> EvolutionStructure:
         # pairs {2l, 2l+1} are closed under descent, so every depth is 1
         depth_oracle=lambda i: 1,
         sup_depth=1,
-        locally_finite=False,
         all_depths_finite=True,
     )
     return EvolutionStructure("exact", row, None, col, meta,
@@ -348,7 +343,6 @@ def _build_comb(params: dict) -> EvolutionStructure:
         cycle_free=True,
         depth_oracle=lambda i: depth_by_kind[comb_vertex_kind(i)],
         sup_depth=2,
-        locally_finite=True,
         all_depths_finite=True,
         longest_path=2,
         no_window_reentry=True,
@@ -426,7 +420,6 @@ def _build_growing_teeth(params: dict) -> EvolutionStructure:
         cycle_free=True,
         depth_oracle=growing_teeth_depth,
         sup_depth=INFINITE,
-        locally_finite=True,
         all_depths_finite=True,
         longest_path=INFINITE,
         no_window_reentry=True,

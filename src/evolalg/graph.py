@@ -13,6 +13,7 @@ certificate.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -222,7 +223,6 @@ class FamilyMeta:
     cycle_free: Optional[bool] = None
     depth_oracle: Optional[Callable[[int], float]] = None
     sup_depth: Optional[float] = None
-    locally_finite: Optional[bool] = None
     all_depths_finite: Optional[bool] = None
     longest_path: Optional[float] = None
     no_window_reentry: Optional[bool] = None
@@ -328,6 +328,9 @@ class EvolutionStructure:
             for k, w in entries:
                 k = int(k)
                 wv = as_scalar(w, mode)
+                if mode == "float" and not cmath.isfinite(wv):
+                    raise ValidationError(f"row {i}: weight {w!r} on edge "
+                                          f"to {k} is not finite")
                 if is_zero(wv, tol):  # exact scalars ignore tol
                     raise ValidationError(f"row {i}: zero weight on edge to {k}")
                 converted.append((k, wv))
@@ -383,13 +386,6 @@ class GenerationResult:
     members: frozenset
     truncated: bool
     first_hit: dict = field(compare=False)
-
-
-def enumerate_row(s: EvolutionStructure, i: int, limit: int) -> Tuple[list, bool]:
-    """First `limit` row entries and an exhaustion flag."""
-    if limit < 0:
-        raise InvalidParams("limit must be >= 0")
-    return s.row_of(i).first(limit)
 
 
 def descendants_generation(s: EvolutionStructure, vertices: Iterable[int],

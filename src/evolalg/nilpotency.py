@@ -27,19 +27,22 @@ from .graph import (
     DepthAtLeast,
     DepthExact,
     EvolutionStructure,
-    cycle_search,
     depth,
     path_is_valid,
     window_dfs,
 )
 
-# classify() searches the window {1..min(budget + 8, CLASSIFY_WINDOW_CAP)}
-# for cycles, reading at most CLASSIFY_ENTRIES_PER_BUDGET * budget row
-# entries, and at most CLASSIFY_SCAN_CAP vertices for one of infinite depth.
-# Windows passed in from outside are capped by graph.WINDOW_CEILING.
+# On an infinite universe classify() searches the window
+# {1..min(budget + 8, CLASSIFY_WINDOW_CAP)} for cycles, reading at most
+# CLASSIFY_ENTRIES_PER_BUDGET * budget row entries, and at most
+# CLASSIFY_SCAN_CAP vertices for one of infinite depth;
+# a ray prefix from that vertex looks at the first CLASSIFY_RAY_ROW_SCAN
+# entries of each row it walks.  Windows passed in from outside are capped
+# by graph.WINDOW_CEILING.
 CLASSIFY_WINDOW_CAP = 4096
 CLASSIFY_ENTRIES_PER_BUDGET = 64
 CLASSIFY_SCAN_CAP = 256
+CLASSIFY_RAY_ROW_SCAN = 64
 
 # -- witnesses ---------------------------------------------------------------
 
@@ -69,8 +72,8 @@ class UnboundedDepthSequence:
 
 @dataclass(frozen=True)
 class LongPath:
-    """Longest simple path found within budget; evidence only, certifies
-    nothing."""
+    """A longest path among the vertices the window search finished;
+    evidence only, certifies nothing."""
 
     path: tuple
 
@@ -161,8 +164,7 @@ class NilpotencyReport:
 # -- helpers -----------------------------------------------------------------
 
 
-def _materialise_ray(s: EvolutionStructure, start: int, length: int,
-                     scan: int = 64):
+def _materialise_ray(s: EvolutionStructure, start: int, length: int):
     """Walk a ray prefix from `start`, preferring children the depth oracle
     marks infinite; falls back to the first child when no oracle is present."""
     oracle = s.meta.depth_oracle if s.meta is not None else None
@@ -170,7 +172,7 @@ def _materialise_ray(s: EvolutionStructure, start: int, length: int,
     seen = {start}
     v = start
     while len(out) < length:
-        entries, _ = s.row_of(v).first(scan)
+        entries, _ = s.row_of(v).first(CLASSIFY_RAY_ROW_SCAN)
         step = None
         for t, _w in entries:
             if t in seen:
@@ -186,25 +188,13 @@ def _materialise_ray(s: EvolutionStructure, start: int, length: int,
     return tuple(out)
 
 
-def _longest_path_evidence(s: EvolutionStructure, window: int, budget: int):
-    """Bounded DFS for a long simple path within the window: evidence only."""
-    best: tuple = ()
-    entries_left = budget
-    top = s.clip(window)
-    for start in range(1, top + 1):
-        if entries_left <= 0:
-            break
-        stack = [(start, [start])]
-        while stack and entries_left > 0:
-            v, path = stack.pop()
-            if len(path) > len(best):
-                best = tuple(path)
-            entries, _, used = s.row_of(v).upto(top)
-            entries_left -= max(used, 1)
-            for t, _w in reversed(entries):
-                if t not in path:
-                    stack.append((t, path + [t]))
-    return best
+def _heights(finished, targets, top: int) -> list:
+    """height[v] for every vertex the search finished: the most edges on a
+    path from v.  Each finished vertex comes after all of its targets."""
+    height = [0] * (top + 1)
+    for v in finished:
+        height[v] = max([height[t] + 1 for t in targets[v]], default=0)
+    return height
 
 
 def _probe_increasing_depths(s: EvolutionStructure, limit: int):
@@ -228,21 +218,24 @@ def _probe_increasing_depths(s: EvolutionStructure, limit: int):
 def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
     """Decide nil and nilpotency, with witnesses, within a budget.
 
-    Finite universes are decided exactly (the budget is advisory there) by
-    one depth-first search over the whole universe, the one
-    :func:`cycle_search` runs: a cycle it meets settles the verdict and is
-    the witness; on a cycle-free structure it finishes sinks first, and a
-    longest-path pass over that order gives the index, longest path + 2.
-    Every row is read once.
-    Infinite structures lean on family metadata where it exists; without it
-    the only reachable certified verdict is "no" via a found cycle.
+    One depth-first search over a window, the one :func:`cycle_search`
+    runs, decides every universe: a cycle it meets settles the verdict and
+    is the witness; otherwise it finishes every vertex after its targets,
+    and that order gives each vertex's height.  Every row in the window is
+    read once.
+
+    A finite universe is its own window and is decided exactly (the budget
+    is advisory there): cycle-free, it is nilpotent of index longest path +
+    2.  Infinite structures lean on family metadata where it exists;
+    without it the only reachable certified verdict is "no" via a found
+    cycle, and the long-path evidence is walked down the heights.
 
     On infinite structures `budget` sets a window and an entry count: the
-    cycle search and the long-path evidence cover the window {1..min(budget
-    + 8, CLASSIFY_WINDOW_CAP)} and may enumerate CLASSIFY_ENTRIES_PER_BUDGET
-    * budget row entries each.  The depth oracle is asked about the first min(budget,
-    CLASSIFY_SCAN_CAP) vertices when looking for an infinite depth, and
-    about the first `budget` when looking for unbounded depths.
+    search covers the window {1..min(budget + 8, CLASSIFY_WINDOW_CAP)} and
+    may enumerate CLASSIFY_ENTRIES_PER_BUDGET * budget row entries.  The
+    depth oracle is asked about the first min(budget, CLASSIFY_SCAN_CAP)
+    vertices when looking for an infinite depth, and about the first
+    `budget` when looking for unbounded depths.
     """
     if budget == 0:
         raise BudgetZero("classify needs a budget >= 1")
@@ -250,18 +243,28 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
         raise InvalidParams("budget must be >= 1")
     notes = []
     meta = s.meta
-
-    if s.universe is not None:
-        return _classify_finite(s, budget)
+    finite = s.universe is not None
+    if finite:
+        window = s.universe
+        entries = window * window + window + 8  # every row read in full
+        notes.append("finite universe decided exactly; budget advisory")
+    else:
+        window = min(budget + 8, CLASSIFY_WINDOW_CAP)
+        entries = CLASSIFY_ENTRIES_PER_BUDGET * budget
 
     # Stage 1: oriented cycles decide everything.
-    window = min(budget + 8, CLASSIFY_WINDOW_CAP)
-    entries = CLASSIFY_ENTRIES_PER_BUDGET * budget
-    path, completed = cycle_search(s, window, entries)
+    path, finished, targets, completed = window_dfs(s, window, entries)
     if path is not None:
         w = CycleWitness(tuple(path))
         nil = _no(f"oriented cycle through vertex {path[0]}", w)
         return NilpotencyReport(nil, nil, IndexInfinite(), budget, tuple(notes))
+
+    if finite:
+        longest = max(_heights(finished, targets, window))
+        nil = _yes("finite and cycle-free: every principal power chain dies")
+        nilp = _yes(f"finite and cycle-free: D^{longest + 1}(V) is empty")
+        return NilpotencyReport(nil, nilp, IndexExact(longest + 2), budget,
+                                tuple(notes))
 
     cycle_free = meta is not None and meta.cycle_free is True
     if cycle_free:
@@ -275,9 +278,19 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
         reason = ("cycle search %s within window %d found no cycle; no "
                   "metadata to certify cycle-freeness"
                   % ("completed" if completed else "ran out of budget", window))
-        evidence = LongPath(_longest_path_evidence(s, window, entries))
-        verdict = _maybe(reason, evidence if len(evidence.path) >= 2 else None)
-        idx = IndexAtLeast(len(evidence.path) + 1) if len(evidence.path) >= 2 else None
+        # From the highest finished vertex down one level per step, taking
+        # the smallest vertex on ties.
+        height = _heights(finished, targets, window)
+        walk = []
+        if finished:
+            v = min(finished, key=lambda u: (-height[u], u))
+            walk.append(v)
+            while height[v]:
+                v = min(t for t in targets[v] if height[t] == height[v] - 1)
+                walk.append(v)
+        evidence = LongPath(tuple(walk)) if len(walk) >= 2 else None
+        verdict = _maybe(reason, evidence)
+        idx = IndexAtLeast(len(walk) + 1) if evidence is not None else None
         return NilpotencyReport(verdict, verdict, idx, budget, tuple(notes))
 
     # Stage 2: cycle-free; depths decide via the family oracle.
@@ -314,27 +327,6 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
         idx = IndexAtLeast(sup + 2)
         notes.append("longest path length unknown; index is a lower bound")
     return NilpotencyReport(nil, nilp, idx, budget, tuple(notes))
-
-
-def _classify_finite(s: EvolutionStructure, budget: int) -> NilpotencyReport:
-    n = s.universe
-    notes = ["finite universe decided exactly; budget advisory"]
-    entries = n * n + n + 8  # every row read in full
-    path, finished, targets, _ = window_dfs(s, n, entries)
-    if path is not None:
-        w = CycleWitness(tuple(path))
-        nil = _no(f"oriented cycle through vertex {path[0]}", w)
-        return NilpotencyReport(nil, nil, IndexInfinite(), budget, tuple(notes))
-    # The search finished every vertex after its targets, so their heights
-    # are known.
-    height = [0] * (n + 1)
-    for v in finished:
-        height[v] = max([height[t] + 1 for t in targets[v]], default=0)
-    longest = max(height)
-    nil = _yes("finite and cycle-free: every principal power chain dies")
-    nilp = _yes(f"finite and cycle-free: D^{longest + 1}(V) is empty")
-    return NilpotencyReport(nil, nilp, IndexExact(longest + 2), budget,
-                            tuple(notes))
 
 
 def nilpotency_index(s: EvolutionStructure, budget: int = 64):
@@ -461,7 +453,7 @@ def permutation_is_strictly_lower(s: EvolutionStructure, order,
                                   window: int) -> bool:
     """Re-check a triangularisation: within the window, every row of order[t]
     must target only vertices removed before t."""
-    top = s.clip(window)
+    top = s.window_top(window)
     position = {v: t for t, v in enumerate(order)}
     if sorted(order) != list(range(1, top + 1)):
         return False

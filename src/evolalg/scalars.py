@@ -199,14 +199,6 @@ class Q2:
     def __abs__(self):
         return self if self.sign() >= 0 else -self
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError("not a rational Q2 value")
-        return self.a
-
     def upper(self) -> Fraction:
         """Rational upper bound."""
         return self.a + self.b * (SQRT2_HI if self.b >= 0 else SQRT2_LO)
@@ -252,7 +244,6 @@ class Q2:
 
 
 Q2_ZERO = Q2()
-Q2_ONE = Q2(1)
 Q2_SQRT2 = Q2(0, 1)
 
 
@@ -451,10 +442,10 @@ def conj(x):
 
 
 def abs_sq(x):
-    """|x|^2 as a Q2 (exact mode) or float (float mode)."""
+    """|x|^2 exactly: a Q2 (exact mode) or a Fraction (float mode)."""
     if isinstance(x, ExactScalar):
         return x.abs_sq()
-    return x.real * x.real + x.imag * x.imag
+    return Fraction(x.real) ** 2 + Fraction(x.imag) ** 2
 
 
 def abs_upper(x) -> Fraction:
@@ -464,7 +455,7 @@ def abs_upper(x) -> Fraction:
         if r is not None:
             return r.upper()
         return up_sqrt_frac(x.abs_sq().upper())
-    return up_sqrt_frac(Fraction(x.real) ** 2 + Fraction(x.imag) ** 2)
+    return up_sqrt_frac(abs_sq(x))
 
 
 def abs_lower(x) -> Fraction:
@@ -475,7 +466,7 @@ def abs_lower(x) -> Fraction:
             return r.lower()
         lo = x.abs_sq().lower()
         return down_sqrt_frac(lo if lo >= 0 else Fraction(0))
-    return down_sqrt_frac(Fraction(x.real) ** 2 + Fraction(x.imag) ** 2)
+    return down_sqrt_frac(abs_sq(x))
 
 
 def is_zero(x, tol: float = 0.0) -> bool:
@@ -537,11 +528,21 @@ def down_sqrt_frac(x) -> Fraction:
 
 
 def up_float(x: Fraction) -> float:
-    """The smallest double at or above x (``float`` rounds to nearest)."""
-    f = float(x)
-    return math.nextafter(f, math.inf) if f < x else f
+    """The smallest double at or above x (``float`` rounds to nearest);
+    InvalidParams when x is above the largest double."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf if x > 0 else -math.inf
+    if f < x:
+        f = math.nextafter(f, math.inf)
+    if f == math.inf:
+        raise InvalidParams(
+            f"a bound exceeds the largest double, {sys.float_info.max!r} "
+            f"(sys.float_info.max), so it cannot be reported as a float")
+    return f
 
 
 def up_sqrt(x) -> float:
     """Float upper bound on sqrt(x); never rounds below the true root."""
-    return float(up_sqrt_frac(x))
+    return up_float(up_sqrt_frac(x))

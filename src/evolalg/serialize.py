@@ -53,14 +53,15 @@ def _q2_of(raw) -> Q2:
 def _float_of(raw) -> float:
     if isinstance(raw, bool):
         raise ParseError(f"booleans are not numbers: {raw!r}")
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, str):
-        try:
-            return float(Fraction(raw))
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"cannot parse number {raw!r}") from e
-    raise ParseError(f"cannot read {raw!r} as a number")
+    if not isinstance(raw, (int, float, str)):
+        raise ParseError(f"cannot read {raw!r} as a number")
+    try:
+        f = float(Fraction(raw)) if isinstance(raw, str) else float(raw)
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        raise ParseError(f"cannot parse number {raw!r}") from e
+    if not math.isfinite(f):
+        raise ParseError(f"number {raw!r} is not finite")
+    return f
 
 
 def parse_weight(raw, mode: str):

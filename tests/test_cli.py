@@ -378,3 +378,39 @@ def test_malformed_family_params_exit_2():
                                  "--params", json.dumps(params)])
         assert (code, out) == (2, ""), params
         assert err.startswith("evolalg: InvalidParams:"), err
+
+
+def test_float_specs_out_of_range_exit_2():
+    """A weight past the float range or not finite is refused, never printed."""
+    huge = "1" + "0" * 400
+    cases = (
+        (["analyze", "-"], '{"mode": "float", "n": 2, "rows": '
+                           '{"1": [[2, "%s"]], "2": []}}' % huge),
+        (["analyze", "-"], '{"mode": "float", "n": 2, "rows": '
+                           '{"1": [[2, NaN]], "2": []}}'),
+        (["bounds", "-", "--frobenius"], '{"mode": "float", "n": 2, "rows": '
+                                         '{"1": [[2, 1e400]], "2": []}}'),
+    )
+    for argv, spec in cases:
+        code, out, err = invoke(argv, spec)
+        assert (code, out) == (2, ""), spec
+        assert err.startswith("evolalg: ParseError:"), err
+
+
+def test_frobenius_bounds_past_the_float_range():
+    # the exact square sum 2e616 rounds up once, to a root below the largest
+    # double
+    code, rep = report(["bounds", "-", "--frobenius"], stdin=json.dumps(
+        {"mode": "float", "n": 2, "rows": {"1": [[2, 1e308]],
+                                           "2": [[1, 1e308]]}}))
+    assert code == 0
+    assert rep["result"]["status"] == "certified"
+    assert rep["result"]["bound"] == 1.4142135623730951e+308
+    # a root of 2e308 or 1e400 has no double at or above it
+    full = {"1": [[1, 1e308], [2, 1e308]], "2": [[1, 1e308], [2, 1e308]]}
+    for spec in ({"mode": "float", "n": 2, "rows": full},
+                 {"n": 2, "rows": {"1": [[2, "1" + "0" * 400]], "2": []}}):
+        code, out, err = invoke(["bounds", "-", "--frobenius"],
+                                json.dumps(spec))
+        assert (code, out) == (2, ""), spec
+        assert "sys.float_info.max" in err

@@ -1,4 +1,5 @@
 """Graph layer: rows, budgeted traversals, depth, cycles, degrees, DOT."""
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -284,3 +285,11 @@ def test_float_from_rows_refuses_weights_within_tol():
                                      tol=1e-9)
     kept = EvolutionStructure.from_rows(rows, 2, mode="float", tol=1e-15)
     assert cycle_search(kept, 2, 16) == ([1, 2, 1], True)
+
+
+def test_float_from_rows_refuses_weights_that_are_not_finite():
+    for w in (math.nan, math.inf, -math.inf, complex(1, math.inf)):
+        with pytest.raises(ValidationError, match="not finite"):
+            EvolutionStructure.from_rows({1: [(2, w)]}, 2, mode="float")
+    big = EvolutionStructure.from_rows({1: [(2, 1e308)]}, 2, mode="float")
+    assert big.row_of(1).entries == ((2, 1e308 + 0j),)

@@ -2,7 +2,9 @@
 code with evolalg's graph layer: the verdict must match
 ``nx.is_directed_acyclic_graph`` and the exact index must be
 ``nx.dag_longest_path_length + 2``.  A cycle witness must be a closed walk of
-networkx's graph."""
+networkx's graph.  On an infinite structure without family metadata, the
+long-path evidence of a completed search must be as long as networkx's
+longest path in the window."""
 import random
 
 import pytest
@@ -11,11 +13,17 @@ nx = pytest.importorskip("networkx")
 
 from evolalg import (  # noqa: E402  (after the importorskip guard)
     EvolutionStructure,
+    ExactScalar,
+    FiniteRow,
+    IndexAtLeast,
     IndexExact,
     IndexInfinite,
+    LongPath,
     classify,
     random_finite_structure,
+    validate_witness,
 )
+from evolalg.nilpotency import CLASSIFY_WINDOW_CAP  # noqa: E402
 
 WEIGHTS = ("1", "-1/2", "3", "2/3")
 
@@ -88,3 +96,48 @@ def test_long_path_and_its_closed_cycle():
     s, g = structure_and_graph(n, path | {(n, 1)}, rng)
     assert check_against_networkx(s, g) == "cyclic"
     assert len(classify(s).nil.witness.path) == n + 1
+
+
+def forward_structure(steps_of):
+    """Infinite, metadata-free structure whose row i targets i + d for each
+    d in steps_of(i); every edge points forward, so no window has a cycle."""
+    one = ExactScalar(1)
+    return EvolutionStructure(
+        "exact", lambda i: FiniteRow(tuple((i + d, one)
+                                           for d in sorted(steps_of(i)))))
+
+
+def random_steps(seed):
+    return lambda i: random.Random(seed * 100003 + i).sample(range(1, 7), 2)
+
+
+@pytest.mark.parametrize("steps_of", [lambda i: (1, 2), lambda i: (2,),
+                                      lambda i: (1,) if i % 3 else (3,)]
+                         + [random_steps(seed) for seed in range(4)])
+def test_long_path_evidence_against_networkx(steps_of):
+    s = forward_structure(steps_of)
+    for budget in (1, 4, 16, 64, 300):
+        r = classify(s, budget)
+        evidence = r.nil.witness
+        assert isinstance(evidence, LongPath)
+        assert validate_witness(s, evidence)
+        assert r.index == IndexAtLeast(len(evidence.path) + 1)
+        window = min(budget + 8, CLASSIFY_WINDOW_CAP)
+        if "completed" not in r.nil.reason:
+            continue
+        g = nx.DiGraph()
+        g.add_nodes_from(range(1, window + 1))
+        g.add_edges_from((i, k) for i in range(1, window + 1)
+                         for k, _w in s.row_of(i).upto(window)[0])
+        assert len(evidence.path) - 1 == nx.dag_longest_path_length(g)
+
+
+def test_long_path_evidence_covers_what_an_exhausted_search_finished():
+    # 1 -> 2 -> ... -> 20 is finished before the dense rows from 21 on run
+    # the search out of entries
+    s = forward_structure(
+        lambda i: (1,) if i < 20 else () if i == 20 else range(1, 400))
+    r = classify(s, 300)
+    assert "ran out of budget" in r.nil.reason
+    assert r.nil.witness == LongPath(tuple(range(1, 21)))
+    assert validate_witness(s, r.nil.witness)

@@ -29,6 +29,7 @@ from evolalg import (
     triangularize_window,
     validate_witness,
 )
+from evolalg import nilpotency
 from evolalg.errors import BudgetZero, InvalidParams
 
 
@@ -245,3 +246,30 @@ def test_float_brute_force_uses_tol():
                                                         True, 3)
     strict = EvolutionStructure.from_rows(rows, 4, mode="float", tol=1e-15)
     assert brute_force_nilpotent(strict).dims[:3] == (4, 2, 0)
+
+
+def test_classify_runs_one_window_search(monkeypatch):
+    calls = []
+    real = nilpotency.window_dfs
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(nilpotency, "window_dfs", counted)
+    one = shift_pair().row_of(1).entries[0][1]
+    bare = EvolutionStructure("exact", lambda i: FiniteRow(((i + 1, one),)))
+    for s, budget in ((shift_pair(), 64), (build_family("growing_teeth"), 64),
+                      (bare, 16)):
+        calls.clear()
+        classify(s, budget)
+        assert len(calls) == 1
+    # the bare line's window is budget + 8, with 64 entries per budget unit
+    assert calls == [(24, 64 * 16)]
+
+
+def test_permutation_check_refuses_bad_windows():
+    comb = build_family("comb")
+    for window in (-5, 0, 10**12):
+        with pytest.raises(InvalidParams):
+            permutation_is_strictly_lower(comb, (), window)

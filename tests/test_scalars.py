@@ -4,12 +4,14 @@ Expected values are computed by hand: (1+sqrt2)(1-sqrt2) = -1,
 1/(3+2*sqrt2) = 3-2*sqrt2, (1+sqrt2)^2 = 3+2*sqrt2, |3+4i| = 5.
 """
 import math
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+from evolalg.errors import InvalidParams
 from evolalg.scalars import (
     EX_INV_SQRT2,
     EX_ONE,
@@ -230,3 +232,20 @@ def test_hash_agrees_with_equality_on_rationals():
     assert len({ExactScalar.from_rational(half), half, Q2(half)}) == 1
     assert hash(ExactScalar(Q2(0, 1))) == hash(Q2(0, 1))
     assert ExactScalar(1, 1) != 1
+
+
+def test_up_float_refuses_values_above_the_largest_double():
+    top = Fraction(sys.float_info.max)
+    assert up_float(top) == sys.float_info.max
+    assert up_float(-Fraction(10**400)) == -sys.float_info.max
+    for x in (top + 1, 2 * top, Fraction(10**400)):
+        with pytest.raises(InvalidParams, match="sys.float_info.max"):
+            up_float(x)
+    with pytest.raises(InvalidParams, match="sys.float_info.max"):
+        up_sqrt(Fraction(10**800))
+
+
+def test_float_abs_sq_is_exact():
+    # binary64 squaring would overflow here, and round 0.1**2
+    assert abs_sq(complex(1e308, -1e308)) == 2 * Fraction(1e308) ** 2
+    assert abs_sq(0.1 + 0j) == Fraction(0.1) ** 2
