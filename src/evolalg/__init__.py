@@ -14,7 +14,6 @@ from .errors import (
     InvalidParams,
     NoColumnAccess,
     NoTailBound,
-    OracleUnavailable,
     ParseError,
     UniverseNotFinite,
     ValidationError,
@@ -33,7 +32,6 @@ from .graph import (
     DegreeExact,
     DepthAtLeast,
     DepthExact,
-    DepthInfinite,
     EvolutionStructure,
     FamilyMeta,
     FiniteRow,
@@ -107,7 +105,6 @@ from .families import (
     build_family,
     comb_hub,
     comb_vertex_kind,
-    family_depth_oracle,
     growing_teeth_depth,
     growing_teeth_hub,
     growing_teeth_tooth,

@@ -11,6 +11,8 @@ the l2 norm of everything dropped.
 """
 from __future__ import annotations
 
+import cmath
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -141,7 +143,8 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
     per such line plus the norm of whatever finite-line mass lies beyond the
     cutoff.  `weight` maps each line weight before it is scaled;
     ``l2_tail=False`` declares that mapped lines have no square-summable
-    tail, so truncating one raises NoTailBound.
+    tail, so truncating one raises NoTailBound.  In float mode a coefficient
+    that overflowed (to inf, or to NaN by inf - inf) raises InvalidParams.
     """
     acc: dict[int, object] = {}
     tail_bound = Fraction(0)
@@ -161,6 +164,10 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
         for k, w in entries:
             cw = c * (w if weight is None else weight(w))
             acc[k] = acc[k] + cw if k in acc else cw
+    if s.mode == "float" and not all(map(cmath.isfinite, acc.values())):
+        raise InvalidParams(
+            f"a float coefficient exceeds the largest double, "
+            f"{sys.float_info.max!r} (sys.float_info.max)")
     result = Element(acc, s.zero_tol)
     if not approx:
         return result

@@ -29,10 +29,6 @@ class UniverseNotFinite(EvolAlgError):
     """The operation requires a finite vertex universe."""
 
 
-class OracleUnavailable(EvolAlgError):
-    """No closed-form oracle exists for this family/vertex combination."""
-
-
 class ParseError(EvolAlgError):
     """Input text could not be parsed."""
 

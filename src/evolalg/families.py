@@ -1,8 +1,8 @@
 """Built-in structure families.
 
 Each family fixes a vertex numbering (documented per builder), ships column
-access, and declares the analytic facts it is entitled to (cycle-freeness,
-depth oracle, tail bounds).  Those facts are what the classifier trusts; the
+access, and declares the analytic facts it is entitled to (the rank of each
+vertex, tail bounds).  Those facts are what the classifier trusts; the
 test suite cross-validates them against budgeted search on windows.
 """
 from __future__ import annotations
@@ -12,8 +12,15 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional
 
-from .errors import InvalidParams, OracleUnavailable
-from .graph import INFINITE, EvolutionStructure, FamilyMeta, FiniteRow, LazyRow
+from .errors import InvalidParams
+from .graph import (
+    INFINITE,
+    WINDOW_CEILING,
+    EvolutionStructure,
+    FamilyMeta,
+    FiniteRow,
+    LazyRow,
+)
 from .scalars import EX_INV_SQRT2, EX_ONE, ExactScalar
 
 
@@ -82,6 +89,10 @@ def _build_rary_tree(params: dict) -> EvolutionStructure:
     r = params.get("r", 2)
     if not isinstance(r, int) or r < 2:
         raise InvalidParams("rary_tree needs an integer branching factor r >= 2")
+    if r > WINDOW_CEILING:
+        # each row holds r children; no window holds more than the ceiling
+        raise InvalidParams(f"rary_tree branching factor {r} exceeds the "
+                            f"ceiling WINDOW_CEILING = {WINDOW_CEILING}")
     weights = params.get("weights", "unit")
     if weights != "unit":
         raise InvalidParams("rary_tree supports unit weights only")
@@ -95,11 +106,10 @@ def _build_rary_tree(params: dict) -> EvolutionStructure:
         return FiniteRow(((rary_parent(i, r), _unit()),))
 
     meta = FamilyMeta(
-        cycle_free=True,
-        depth_oracle=lambda i: INFINITE,
-        sup_depth=INFINITE,
-        all_depths_finite=False,
-        longest_path=INFINITE,
+        # every vertex heads the ray through its first children
+        rank=lambda i: INFINITE,
+        sup_rank=INFINITE,
+        ranks_finite=False,
         no_window_reentry=True,
     )
     return EvolutionStructure("exact", row, None, col, meta,
@@ -161,13 +171,10 @@ def _build_markov_line(params: dict) -> EvolutionStructure:
         return FiniteRow(((1, _exact(markov_weight(k, q))), (k - 1, _unit())))
 
     meta = FamilyMeta(
-        cycle_free=True,
-        # vertex 1 sees every descendant at distance 1, so its depth is 1;
-        # every i >= 2 heads an infinite ray i -> i+1 -> ...
-        depth_oracle=lambda i: 1 if i == 1 else INFINITE,
-        sup_depth=INFINITE,
-        all_depths_finite=False,
-        longest_path=INFINITE,
+        # 1 -> 2 -> 3 -> ... is an infinite ray, and so is each of its tails
+        rank=lambda i: INFINITE,
+        sup_rank=INFINITE,
+        ranks_finite=False,
         no_window_reentry=True,
     )
     return EvolutionStructure("exact", row, None, col, meta,
@@ -195,10 +202,10 @@ def _build_alt_line_B(params: dict) -> EvolutionStructure:
         return FiniteRow(((k - 2, _unit()), (k - 1, _unit())))
 
     meta = FamilyMeta(
-        cycle_free=False,  # self-loop at every even vertex
-        depth_oracle=lambda i: INFINITE,
-        sup_depth=INFINITE,
-        all_depths_finite=False,
+        # every vertex reaches the self-loop at an even vertex
+        rank=lambda i: INFINITE,
+        sup_rank=INFINITE,
+        ranks_finite=False,
     )
     return EvolutionStructure("exact", row, None, col, meta,
                               source={"kind": "family", "family": "alt_line_B",
@@ -233,10 +240,10 @@ def _build_alt_line_C0(params: dict) -> EvolutionStructure:
         return FiniteRow(tuple(out))
 
     meta = FamilyMeta(
-        cycle_free=False,  # every row contains its own index
-        depth_oracle=lambda i: INFINITE,
-        sup_depth=INFINITE,
-        all_depths_finite=False,
+        # every row contains its own index: a self-loop at every vertex
+        rank=lambda i: INFINITE,
+        sup_rank=INFINITE,
+        ranks_finite=False,
     )
     return EvolutionStructure("exact", row, None, col, meta,
                               source={"kind": "family", "family": "alt_line_C0",
@@ -287,11 +294,10 @@ def _build_hub_line(params: dict) -> EvolutionStructure:
         return FiniteRow(((1, _exact(alpha(k))), (k - 1, _unit()), (k, _unit())))
 
     meta = FamilyMeta(
-        cycle_free=False,  # self-loop at every vertex >= 2
-        # pairs {2l, 2l+1} are closed under descent, so every depth is 1
-        depth_oracle=lambda i: 1,
-        sup_depth=1,
-        all_depths_finite=True,
+        # a self-loop at every vertex >= 2, and vertex 1 feeds them all
+        rank=lambda i: INFINITE,
+        sup_rank=INFINITE,
+        ranks_finite=False,
     )
     return EvolutionStructure("exact", row, None, col, meta,
                               source={"kind": "family", "family": "hub_line",
@@ -338,13 +344,11 @@ def _build_comb(params: dict) -> EvolutionStructure:
             return FiniteRow(((k - 1, _unit()),))
         return FiniteRow(())  # hubs have no in-edges
 
-    depth_by_kind = {"sink": 0, "hub": 2, "mid": 1, "top": 0}
+    rank_by_kind = {"sink": 0, "hub": 2, "mid": 1, "top": 0}
     meta = FamilyMeta(
-        cycle_free=True,
-        depth_oracle=lambda i: depth_by_kind[comb_vertex_kind(i)],
-        sup_depth=2,
-        all_depths_finite=True,
-        longest_path=2,
+        rank=lambda i: rank_by_kind[comb_vertex_kind(i)],
+        sup_rank=2,
+        ranks_finite=True,
         no_window_reentry=True,
     )
     return EvolutionStructure("exact", row, None, col, meta,
@@ -378,6 +382,8 @@ def _growing_block(i: int):
 
 
 def growing_teeth_depth(i: int) -> int:
+    """The rank of vertex i, the most edges on a walk from it: hub k walks
+    its tooth of k vertices, a tooth vertex the rest of its tooth."""
     if i == 1:
         return 0
     k, off = _growing_block(i)
@@ -417,11 +423,9 @@ def _build_growing_teeth(params: dict) -> EvolutionStructure:
         return FiniteRow(((h, _unit()), (growing_teeth_hub(k + 1), _unit())))
 
     meta = FamilyMeta(
-        cycle_free=True,
-        depth_oracle=growing_teeth_depth,
-        sup_depth=INFINITE,
-        all_depths_finite=True,
-        longest_path=INFINITE,
+        rank=growing_teeth_depth,
+        sup_rank=INFINITE,
+        ranks_finite=True,
         no_window_reentry=True,
     )
     return EvolutionStructure("exact", row, None, col, meta,
@@ -488,13 +492,3 @@ def build_family(spec, params: Optional[dict] = None) -> EvolutionStructure:
                             f"known: {', '.join(list_families())}")
     return builder(dict(spec.params))
 
-
-def family_depth_oracle(spec, i: int):
-    """Closed-form depth for a family vertex: an int or math.inf."""
-    if isinstance(spec, str):
-        spec = FamilySpec(spec, {})
-    s = build_family(spec)
-    if s.meta is None or s.meta.depth_oracle is None:
-        raise OracleUnavailable(f"family {spec.name!r} has no depth oracle")
-    s._check_vertex(i)
-    return s.meta.depth_oracle(i)

@@ -50,6 +50,10 @@ DEPTH_PROBE_PER_LEVEL = 4
 # finite universe clips the window to its own rows, which are already built.
 WINDOW_CEILING = 4096
 
+# A finite universe may have at most this many vertices: deciding it builds
+# state for every vertex, so a larger n is refused before anything is built.
+UNIVERSE_CEILING = 1 << 20
+
 
 @dataclass(frozen=True)
 class FiniteRow:
@@ -212,19 +216,21 @@ Row = Union[FiniteRow, LazyRow]
 class FamilyMeta:
     """Analytic facts a family ships with; consumers trust these.
 
-    ``depth_oracle`` maps a vertex to its depth (an int, or ``math.inf``).
-    ``sup_depth``/``longest_path`` are ints, ``math.inf`` or None (unknown).
+    ``rank`` maps a vertex to its rank, the most edges on a walk from it: an
+    int, or ``math.inf`` when walks from it are unbounded (a cycle or an
+    infinite ray is reachable).  A finite rank is 1 + the largest rank among
+    the vertex's children, 0 at a sink.  ``sup_rank`` is the supremum of the
+    ranks (an int or ``math.inf``) and ``ranks_finite`` says whether every
+    rank is finite, which rules out cycles.
     ``no_window_reentry`` certifies that an edge leaving a window {1..W}
     never has a descendant back inside it, which makes window
     triangularisation sound at the boundary.  ``frobenius_tail_sq(N)`` bounds
     the total squared weight of all rows with index > N.
     """
 
-    cycle_free: Optional[bool] = None
-    depth_oracle: Optional[Callable[[int], float]] = None
-    sup_depth: Optional[float] = None
-    all_depths_finite: Optional[bool] = None
-    longest_path: Optional[float] = None
+    rank: Optional[Callable[[int], float]] = None
+    sup_rank: Optional[float] = None
+    ranks_finite: Optional[bool] = None
     no_window_reentry: Optional[bool] = None
     frobenius_tail_sq: Optional[Callable[[int], Fraction]] = None
 
@@ -248,6 +254,10 @@ class EvolutionStructure:
             raise InvalidParams(f"unknown mode {mode!r}")
         if universe is not None and universe < 1:
             raise InvalidParams("finite universe must have n >= 1")
+        if universe is not None and universe > UNIVERSE_CEILING:
+            raise InvalidParams(f"finite universe of size {universe} exceeds "
+                                f"the ceiling UNIVERSE_CEILING = "
+                                f"{UNIVERSE_CEILING}")
         self.mode = mode
         self.universe = universe
         self.meta = meta
@@ -441,28 +451,17 @@ class DepthAtLeast:
     bound: int
 
 
-@dataclass(frozen=True)
-class DepthInfinite:
-    reason: str  # "family_oracle" (cycles alone never certify infinite depth)
-    cycle: Optional[tuple] = None
-
-
-def depth(s: EvolutionStructure, i: int, budget: int, use_oracle: bool = False):
+def depth(s: EvolutionStructure, i: int, budget: int):
     """Depth of the descendant graph of i: sup of distances from i.
 
     `budget` counts BFS levels explored.  Finite rows are read in full; lazy
     rows are enumerated up to ``DEPTH_PROBE + DEPTH_PROBE_PER_LEVEL *
     budget`` entries each, and if any was left unexhausted the verdict
-    degrades to ``DepthAtLeast`` (a path of that length was found).  With
-    ``use_oracle=True`` an infinite-depth claim from the family metadata is
-    returned up front.
+    degrades to ``DepthAtLeast`` (a path of that length was found).
     """
     s._check_vertex(i)
     if budget < 1:
         raise InvalidParams("budget must be >= 1")
-    if use_oracle and s.meta is not None and s.meta.depth_oracle is not None:
-        if s.meta.depth_oracle(i) == INFINITE:
-            return DepthInfinite("family_oracle")
 
     probe = DEPTH_PROBE + DEPTH_PROBE_PER_LEVEL * budget
     visited = {i}

@@ -2,18 +2,19 @@
 
 Certification discipline: a "certified" verdict rests either on a witness the
 caller can re-check against the structure (an oriented cycle, a ray prefix, a
-sequence of vertices with strictly growing depth) or on facts the structure's
-family metadata is entitled to assert (cycle-freeness, closed-form depths).
-Search that merely ran out of budget is reported as inconclusive, never
-dressed up as a certificate.
+sequence of vertices with strictly growing depth) or on the rank the
+structure's family metadata is entitled to assert.  Search that merely ran
+out of budget is reported as inconclusive, never dressed up as a
+certificate.
 
-The underlying graph criteria:
+The underlying graph criteria read the rank r(v), the most edges on a walk
+from v (the last m with D^m(v) nonempty), which is infinite when a cycle or
+an infinite ray is reachable from v:
 
-* an oriented cycle rules out both nil and nilpotent;
-* no cycles + every vertex of finite depth  <=>  nil;
-* no cycles + depths uniformly bounded      <=>  nilpotent;
+* every vertex of finite rank      <=>  nil (and then there are no cycles);
+* ranks bounded by R               <=>  nilpotent;
 * the exact index of right nilpotency is the first m with D^{m-1}(V) empty,
-  which on a cycle-free structure is (longest path length) + 2.
+  which is sup r + 2.
 """
 from __future__ import annotations
 
@@ -34,11 +35,10 @@ from .graph import (
 
 # On an infinite universe classify() searches the window
 # {1..min(budget + 8, CLASSIFY_WINDOW_CAP)} for cycles, reading at most
-# CLASSIFY_ENTRIES_PER_BUDGET * budget row entries, and at most
-# CLASSIFY_SCAN_CAP vertices for one of infinite depth;
-# a ray prefix from that vertex looks at the first CLASSIFY_RAY_ROW_SCAN
-# entries of each row it walks.  Windows passed in from outside are capped
-# by graph.WINDOW_CEILING.
+# CLASSIFY_ENTRIES_PER_BUDGET * budget row entries, and reads the rank of at
+# most CLASSIFY_SCAN_CAP vertices; a ray prefix from a vertex of infinite
+# rank looks at the first CLASSIFY_RAY_ROW_SCAN entries of each row it walks.
+# Windows passed in from outside are capped by graph.WINDOW_CEILING.
 CLASSIFY_WINDOW_CAP = 4096
 CLASSIFY_ENTRIES_PER_BUDGET = 64
 CLASSIFY_SCAN_CAP = 256
@@ -164,10 +164,9 @@ class NilpotencyReport:
 # -- helpers -----------------------------------------------------------------
 
 
-def _materialise_ray(s: EvolutionStructure, start: int, length: int):
-    """Walk a ray prefix from `start`, preferring children the depth oracle
-    marks infinite; falls back to the first child when no oracle is present."""
-    oracle = s.meta.depth_oracle if s.meta is not None else None
+def _materialise_ray(s: EvolutionStructure, rank, start: int, length: int):
+    """Walk a ray prefix from `start` along the first unvisited child of
+    infinite rank."""
     out = [start]
     seen = {start}
     v = start
@@ -177,7 +176,7 @@ def _materialise_ray(s: EvolutionStructure, start: int, length: int):
         for t, _w in entries:
             if t in seen:
                 continue
-            if oracle is None or oracle(t) == INFINITE:
+            if rank(t) == INFINITE:
                 step = t
                 break
         if step is None:
@@ -197,21 +196,6 @@ def _heights(finished, targets, top: int) -> list:
     return height
 
 
-def _probe_increasing_depths(s: EvolutionStructure, limit: int):
-    """(vertex, oracle depth) pairs with strictly increasing positive depths."""
-    oracle = s.meta.depth_oracle
-    pairs = []
-    record = 0
-    for i in range(1, limit + 1):
-        d = oracle(i)
-        if d == INFINITE:
-            continue
-        if d > record:
-            pairs.append((i, int(d)))
-            record = d
-    return tuple(pairs)
-
-
 # -- classification ----------------------------------------------------------
 
 
@@ -226,16 +210,17 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
 
     A finite universe is its own window and is decided exactly (the budget
     is advisory there): cycle-free, it is nilpotent of index longest path +
-    2.  Infinite structures lean on family metadata where it exists;
-    without it the only reachable certified verdict is "no" via a found
-    cycle, and the long-path evidence is walked down the heights.
+    2.  Infinite structures lean on the rank their family metadata
+    asserts where it exists; without it the only reachable certified verdict
+    is "no" via a found cycle, and the long-path evidence is walked down the
+    heights.
 
     On infinite structures `budget` sets a window and an entry count: the
     search covers the window {1..min(budget + 8, CLASSIFY_WINDOW_CAP)} and
     may enumerate CLASSIFY_ENTRIES_PER_BUDGET * budget row entries.  The
-    depth oracle is asked about the first min(budget, CLASSIFY_SCAN_CAP)
-    vertices when looking for an infinite depth, and about the first
-    `budget` when looking for unbounded depths.
+    rank is read for at most the first min(budget, CLASSIFY_SCAN_CAP)
+    vertices, once each: the first of infinite rank starts a ray, and the
+    record ranks before it show unbounded ranks.
     """
     if budget == 0:
         raise BudgetZero("classify needs a budget >= 1")
@@ -266,15 +251,8 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
         return NilpotencyReport(nil, nilp, IndexExact(longest + 2), budget,
                                 tuple(notes))
 
-    cycle_free = meta is not None and meta.cycle_free is True
-    if cycle_free:
-        notes.append("cycle-freeness from family metadata")
-    elif meta is not None and meta.cycle_free is False:
-        notes.append(f"metadata declares a cycle but the search (window "
-                     f"{window}) did not reach it")
-        nil = _no("family metadata declares an oriented cycle")
-        return NilpotencyReport(nil, nil, IndexInfinite(), budget, tuple(notes))
-    else:
+    rank = meta.rank if meta is not None else None
+    if rank is None:
         reason = ("cycle search %s within window %d found no cycle; no "
                   "metadata to certify cycle-freeness"
                   % ("completed" if completed else "ran out of budget", window))
@@ -293,40 +271,43 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
         idx = IndexAtLeast(len(walk) + 1) if evidence is not None else None
         return NilpotencyReport(verdict, verdict, idx, budget, tuple(notes))
 
-    # Stage 2: cycle-free; depths decide via the family oracle.
-    if meta.depth_oracle is None or meta.all_depths_finite is None:
-        verdict = _maybe("cycle-free, but no depth oracle to settle depths")
-        return NilpotencyReport(verdict, verdict, None, budget, tuple(notes))
+    # Stage 2: the family's rank decides.  One scan finds the first vertex
+    # of infinite rank and the record ranks before it.
+    if meta.ranks_finite:
+        notes.append("cycle-freeness from family metadata")
+    scan = min(budget, CLASSIFY_SCAN_CAP)
+    bad = None
+    records = []
+    for i in range(1, scan + 1):
+        r = rank(i)
+        if r == INFINITE:
+            bad = i
+            break
+        if r > (records[-1][1] if records else 0):
+            records.append((i, int(r)))
 
-    if not meta.all_depths_finite:
-        scan = min(budget, CLASSIFY_SCAN_CAP)
-        bad = next((i for i in range(1, scan + 1)
-                    if meta.depth_oracle(i) == INFINITE), None)
+    if not meta.ranks_finite:
         if bad is None:
             verdict = _maybe(f"oracle reports an infinite depth somewhere, "
                              f"but none within the first {scan} vertices")
             return NilpotencyReport(verdict, verdict, None, budget, tuple(notes))
-        ray = _materialise_ray(s, bad, min(budget, 48) + 1)
+        ray = _materialise_ray(s, rank, bad, min(budget, 48) + 1)
         witness = RayPrefix(ray) if len(ray) >= 2 else None
         nil = _no(f"vertex {bad} has infinite depth (family oracle)", witness)
         return NilpotencyReport(nil, nil, IndexInfinite(), budget, tuple(notes))
 
-    # All depths finite: nil holds.
+    # All ranks finite: nil holds.
     nil = _yes("no oriented cycles and every vertex has finite depth")
-    if meta.sup_depth == INFINITE:
-        pairs = _probe_increasing_depths(s, budget)
-        witness = UnboundedDepthSequence(pairs) if len(pairs) >= 2 else None
+    if meta.sup_rank == INFINITE:
+        witness = (UnboundedDepthSequence(tuple(records))
+                   if len(records) >= 2 else None)
         nilp = _no("depths are finite but not uniformly bounded", witness)
         return NilpotencyReport(nil, nilp, IndexInfinite(), budget, tuple(notes))
 
-    sup = int(meta.sup_depth)
+    sup = int(meta.sup_rank)
     nilp = _yes(f"no oriented cycles and depths bounded by {sup}")
-    if meta.longest_path is not None and meta.longest_path != INFINITE:
-        idx = IndexExact(int(meta.longest_path) + 2)
-    else:
-        idx = IndexAtLeast(sup + 2)
-        notes.append("longest path length unknown; index is a lower bound")
-    return NilpotencyReport(nil, nilp, idx, budget, tuple(notes))
+    return NilpotencyReport(nil, nilp, IndexExact(sup + 2), budget,
+                            tuple(notes))
 
 
 def nilpotency_index(s: EvolutionStructure, budget: int = 64):

@@ -14,7 +14,17 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 import evolalg
-from evolalg import ExactScalar, Element, build_family, export_window_dot
+from evolalg import (
+    EX_ONE,
+    Element,
+    EvolutionStructure,
+    ExactScalar,
+    FiniteRow,
+    build_family,
+    classify,
+    export_window_dot,
+)
+from evolalg import cli
 from evolalg._version import __version__
 from evolalg.cli import run
 from evolalg.graph import WINDOW_CEILING
@@ -79,28 +89,41 @@ def test_analyze_markov_certified_no_with_ray():
         assert res[key]["status"] == "no"
         assert res[key]["certified"] is True
         assert res[key]["witness"] == {"type": "RayPrefix",
-                                       "vertices": list(range(2, 51))}
+                                       "vertices": list(range(1, 50))}
 
 
-def test_analyze_budget_too_small_exits_3():
+def _classify_without_metadata(monkeypatch):
+    """Make the CLI decide the shift line i -> i+1 with no family metadata,
+    which no budget settles; every built-in family is decided at budget 1."""
+    shift = EvolutionStructure(
+        "exact", lambda i: FiniteRow(((i + 1, EX_ONE),)))
+    monkeypatch.setattr(cli, "classify",
+                        lambda s, budget: classify(shift, budget))
+
+
+def test_analyze_budget_too_small_exits_3(monkeypatch):
+    _classify_without_metadata(monkeypatch)
     code, rep = report(["analyze", "--family", "markov_line", "--budget", "1"])
     assert code == 3
     assert rep["status"] == "inconclusive"
     res = rep["result"]
-    assert res["index"] is None
+    assert res["index"] == {"type": "IndexAtLeast", "n": 10}
     assert res["nil"]["status"] == "inconclusive"
     assert res["nil"]["certified"] is False
 
 
-def test_index_subcommand():
+def test_index_subcommand(monkeypatch):
     code, rep = report(["index", "--family", "comb"])
     assert (code, rep["result"]) == (0, {"index": {"type": "IndexExact",
                                                    "n": 4}})
     code, rep = report(["index", "--family", "growing_teeth"])
     assert (code, rep["result"]) == (0, {"index": {"type": "IndexInfinite"}})
     code, rep = report(["index", "--family", "markov_line", "--budget", "1"])
+    assert (code, rep["result"]) == (0, {"index": {"type": "IndexInfinite"}})
+    _classify_without_metadata(monkeypatch)
+    code, rep = report(["index", "--family", "markov_line", "--budget", "1"])
     assert (code, rep["result"], rep["status"]) == (
-        3, {"index": None}, "inconclusive")
+        3, {"index": {"type": "IndexAtLeast", "n": 10}}, "inconclusive")
 
 
 def test_power_exact_chain():
@@ -395,6 +418,45 @@ def test_float_specs_out_of_range_exit_2():
         code, out, err = invoke(argv, spec)
         assert (code, out) == (2, ""), spec
         assert err.startswith("evolalg: ParseError:"), err
+
+
+def test_float_products_past_the_float_range_exit_2():
+    """A float product that overflows is refused, never printed as
+    Infinity or NaN."""
+    cases = (
+        (["power", "-", "--element", '{"1": 1e200}', "-n", "2"],
+         {"1": [[1, 1e200]], "2": []}),
+        (["apply", "-", "--op", "omega", "--vector", '{"1": 1e200}'],
+         {"1": [[2, 1e200]], "2": []}),
+    )
+    for argv, rows in cases:
+        spec = json.dumps({"mode": "float", "n": 2, "rows": rows})
+        code, out, err = invoke(argv, spec)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("evolalg: InvalidParams:"), err
+        assert "sys.float_info.max" in err
+    # a product inside the range is still reported
+    code, rep = report(["apply", "-", "--op", "omega", "--vector",
+                        '{"1": 1e100}'],
+                       json.dumps({"mode": "float", "n": 2,
+                                   "rows": {"1": [[2, 1e200]], "2": []}}))
+    assert code == 0
+    assert rep["result"]["image"] == [[2, 1e300, 0.0]]
+
+
+def test_huge_finite_universe_exits_2():
+    code, out, err = invoke(["analyze", "-"],
+                            json.dumps({"n": 10**12, "rows": {}}))
+    assert (code, out) == (2, "")
+    assert "UNIVERSE_CEILING" in err
+
+
+def test_analyze_growing_teeth_at_a_huge_budget():
+    code, rep = report(["analyze", "--family", "growing_teeth",
+                        "--budget", "1000000000"])
+    assert code == 0
+    res = rep["result"]
+    assert (res["nil"]["status"], res["nilpotent"]["status"]) == ("yes", "no")
 
 
 def test_frobenius_bounds_past_the_float_range():

@@ -22,6 +22,8 @@ COMMANDS = (
     ["bounds", "--frobenius"],
     ["bounds", "--schur", "ones,ones,1,1"],
     ["apply", "--op", "omega", "--vector", '{"1": 1}'],
+    ["apply", "--op", "omega", "--vector", '{"1": 1e200}'],
+    ["power", "--element", '{"1": 1e200}', "-n", "2"],
 )
 
 big_ints = st.integers(10**399, 10**401) | st.integers(-10**401, -10**399)

@@ -8,14 +8,12 @@ from hypothesis import given, settings
 
 from evolalg import (
     DepthExact,
-    DepthInfinite,
     FamilySpec,
     build_family,
     comb_hub,
     comb_vertex_kind,
     cycle_search,
     depth,
-    family_depth_oracle,
     growing_teeth_depth,
     growing_teeth_hub,
     growing_teeth_tooth,
@@ -27,9 +25,9 @@ from evolalg import (
     tree_id,
     tree_label,
 )
-from evolalg.errors import InvalidParams, OracleUnavailable
+from evolalg.errors import InvalidParams
 from evolalg.families import _growing_block
-from evolalg.graph import INFINITE
+from evolalg.graph import INFINITE, WINDOW_CEILING
 
 ALL = ("alt_line_B", "alt_line_C0", "comb", "growing_teeth", "hub_line",
        "markov_line", "rary_tree")
@@ -91,7 +89,7 @@ def test_growing_teeth_layout_frozen():
     # the depth of hub k is exactly k, realized along its tooth
     for k in (1, 2, 3, 4, 5):
         h = growing_teeth_hub(k)
-        assert family_depth_oracle("growing_teeth", h) == k
+        assert build_family("growing_teeth").meta.rank(h) == k
         assert path_is_valid(gt, growing_teeth_tooth(k))
 
 
@@ -190,6 +188,15 @@ def test_rary_tree_navigation():
         build_family("rary_tree", {"r": 1})
 
 
+def test_rary_tree_refuses_more_children_than_a_window_holds():
+    wide = build_family("rary_tree", {"r": WINDOW_CEILING})
+    assert targets(wide.row_of(1))[-1] == WINDOW_CEILING + 1
+    # refused before a row of 10^12 children is built
+    for r in (WINDOW_CEILING + 1, 10**12):
+        with pytest.raises(InvalidParams, match="WINDOW_CEILING"):
+            build_family("rary_tree", {"r": r})
+
+
 @settings(max_examples=80, deadline=None)
 @given(v=st.integers(1, 10**6), r=st.integers(2, 12))
 def test_tree_label_roundtrip(v, r):
@@ -220,7 +227,11 @@ def test_rows_and_columns_transpose_consistently(name):
 @pytest.mark.parametrize("name", CYCLE_FREE)
 def test_cycle_free_metadata_is_honest(name):
     s = build_family(name)
-    assert s.meta.cycle_free is True
+    if s.meta.ranks_finite:
+        assert all(s.meta.rank(i) < INFINITE for i in range(1, 49))
+    else:
+        # an infinite ray, not a cycle, makes every rank infinite
+        assert all(s.meta.rank(i) == INFINITE for i in range(1, 49))
     path, completed = cycle_search(s, 48, 10**6)
     assert completed and path is None
 
@@ -228,7 +239,7 @@ def test_cycle_free_metadata_is_honest(name):
 @pytest.mark.parametrize("name", CYCLIC)
 def test_cyclic_families_expose_a_cycle(name):
     s = build_family(name)
-    assert s.meta.cycle_free is False
+    assert s.meta.ranks_finite is False
     path, completed = cycle_search(s, 8, 10**6)
     assert completed and path is not None
     assert path[0] == path[-1]
@@ -239,21 +250,39 @@ def test_depth_oracles_match_search_where_exact():
     comb = build_family("comb")
     gt = build_family("growing_teeth")
     for i in range(1, 21):
-        assert depth(comb, i, 12) == DepthExact(family_depth_oracle("comb", i))
-        assert depth(gt, i, 24) == DepthExact(family_depth_oracle("growing_teeth", i))
+        assert depth(comb, i, 12) == DepthExact(comb.meta.rank(i))
+        assert depth(gt, i, 24) == DepthExact(gt.meta.rank(i))
     hub = build_family("hub_line")
     for i in range(2, 12):
         assert depth(hub, i, 12) == DepthExact(1)
-    assert family_depth_oracle("markov_line", 2) == INFINITE
-    assert depth(build_family("markov_line"), 2, 6, use_oracle=True) == \
-        DepthInfinite("family_oracle")
-    assert family_depth_oracle("rary_tree", 17) == INFINITE
+    assert build_family("markov_line").meta.rank(2) == INFINITE
+    assert build_family("rary_tree").meta.rank(17) == INFINITE
 
 
-def test_depth_oracle_unavailable_for_explicit():
-    with pytest.raises(OracleUnavailable):
-        family_depth_oracle(
-            FamilySpec("finite_explicit", {"rows": {1: [(2, 1)]}, "n": 2}), 1)
+@pytest.mark.parametrize("name", ALL)
+def test_rank_is_the_longest_walk(name):
+    """Where finite, a rank is 1 + the largest rank among the children (0 at
+    a sink), and an infinite rank passes to some child.  A rank with both
+    properties is the most edges on a walk from each vertex; a BFS depth is
+    not (markov_line vertex 1 has depth 1 and heads the ray 1, 2, 3, ...)."""
+    s = build_family(name)
+    rank = s.meta.rank
+    ranks = []
+    for v in range(1, 601):
+        entries, exhausted = s.row_of(v).first(64)
+        children = [t for t, _w in entries]
+        r = rank(v)
+        if r == INFINITE:
+            assert any(rank(t) == INFINITE for t in children), v
+        else:
+            assert exhausted, v
+            assert r == max((rank(t) + 1 for t in children), default=0), v
+        ranks.append(r)
+    assert s.meta.ranks_finite is (INFINITE not in ranks)
+    if s.meta.sup_rank != INFINITE:
+        assert s.meta.sup_rank == max(ranks)
+    elif s.meta.ranks_finite:
+        assert max(ranks) > 30  # hub k of growing_teeth has rank k
 
 
 def test_finite_explicit_family():

@@ -11,7 +11,6 @@ from evolalg import (
     DegreeExact,
     DepthAtLeast,
     DepthExact,
-    DepthInfinite,
     EvolutionStructure,
     FiniteRow,
     LazyRow,
@@ -21,7 +20,6 @@ from evolalg import (
     depth,
     descendants_generation,
     export_window_dot,
-    family_depth_oracle,
     path_is_valid,
     random_finite_structure,
 )
@@ -32,6 +30,7 @@ from evolalg.errors import (
     NoTailBound,
     ValidationError,
 )
+from evolalg.graph import UNIVERSE_CEILING
 from evolalg.scalars import EX_ONE, ExactScalar
 
 
@@ -173,12 +172,12 @@ def test_depth_atleast_is_a_path_length_not_an_eccentricity():
     mk = build_family("markov_line")
     assert depth(mk, 2, 10) == DepthAtLeast(10)
     assert depth(mk, 1, 5) == DepthAtLeast(5)
-    assert family_depth_oracle("markov_line", 1) == 1
 
 
 def test_depth_oracle_shortcircuits_infinite():
+    # depth reads no family metadata: an infinite ray gives only a lower bound
     mk = build_family("markov_line")
-    assert depth(mk, 2, 10, use_oracle=True) == DepthInfinite("family_oracle")
+    assert depth(mk, 2, 10) == DepthAtLeast(10)
     with pytest.raises(InvalidParams):
         depth(mk, 2, 0)
 
@@ -230,6 +229,15 @@ def test_from_rows_validation():
         EvolutionStructure.from_rows({1: [(2, 0)]}, 3)
     with pytest.raises(ValidationError):
         EvolutionStructure.from_rows({1: [(3, 1), (2, 1)]}, 3)
+
+
+def test_finite_universe_ceiling():
+    assert EvolutionStructure.from_rows({}, UNIVERSE_CEILING).universe == \
+        UNIVERSE_CEILING
+    # refused before any per-vertex state is built
+    for n in (UNIVERSE_CEILING + 1, 10**12):
+        with pytest.raises(InvalidParams, match="UNIVERSE_CEILING"):
+            EvolutionStructure.from_rows({}, n)
 
 
 def test_export_window_dot_frozen():

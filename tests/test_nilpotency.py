@@ -1,4 +1,6 @@
 """Classification, witnesses, triangularization, and the brute-force oracle."""
+import dataclasses
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -72,7 +74,7 @@ def test_classify_markov_line():
     assert r.index == IndexInfinite()
     w = r.nil.witness
     assert isinstance(w, RayPrefix)
-    assert w.vertices[:5] == (2, 3, 4, 5, 6)
+    assert w.vertices[:5] == (1, 2, 3, 4, 5)
     assert validate_witness(mk, w)
 
 
@@ -246,6 +248,24 @@ def test_float_brute_force_uses_tol():
                                                         True, 3)
     strict = EvolutionStructure.from_rows(rows, 4, mode="float", tol=1e-15)
     assert brute_force_nilpotent(strict).dims[:3] == (4, 2, 0)
+
+
+def test_classify_reads_at_most_scan_cap_ranks():
+    s = build_family("growing_teeth")
+    real = s.meta.rank
+    calls = []
+
+    def counted(i):
+        calls.append(i)
+        # fail at once rather than after 10^9 reads
+        assert len(calls) <= nilpotency.CLASSIFY_SCAN_CAP
+        return real(i)
+
+    s.meta = dataclasses.replace(s.meta, rank=counted)
+    r = classify(s, 10**9)
+    assert (r.nil.status, r.nilpotent.status) == ("yes", "no")
+    assert validate_witness(s, r.nilpotent.witness)
+    assert calls
 
 
 def test_classify_runs_one_window_search(monkeypatch):
