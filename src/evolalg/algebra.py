@@ -30,6 +30,10 @@ from .scalars import (
     up_sqrt_frac,
 )
 
+# principal_power takes at most this many steps: each is one product, so a
+# larger exponent is refused up front instead of running for hours.
+POWER_CEILING = 4096
+
 
 class Element:
     """Finite-support vector; no stored zero coefficients."""
@@ -205,6 +209,9 @@ def principal_power(s: EvolutionStructure, v: Element, n: int,
     """v^n under the principal powers v^(k+1) = v^k * v; v^1 = v."""
     if n < 1:
         raise InvalidParams("power must be >= 1")
+    if n > POWER_CEILING:
+        raise InvalidParams(f"power {n} exceeds the ceiling POWER_CEILING = "
+                            f"{POWER_CEILING}")
     acc: Union[Element, ApproxElement] = v
     for _ in range(n - 1):
         if isinstance(acc, ApproxElement):

@@ -27,7 +27,7 @@ from .algebra import principal_power
 from .operators import (ONES, OperatorKind, apply_operator,
                         frobenius_certificate, schur_certificate)
 from .serialize import (element_jsonable, jsonable, parse_element,
-                        parse_structure, serialize_structure)
+                        parse_structure, read_json, serialize_structure)
 
 
 class _UsageError(Exception):
@@ -111,13 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_structure(args):
     if getattr(args, "family", None):
-        try:
-            params = json.loads(args.params)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"--params is not valid JSON: {e}") from e
-        if not isinstance(params, dict):
-            raise ParseError("--params must be a JSON object")
-        return parse_structure({"family": args.family, "params": params})
+        return parse_structure({"family": args.family,
+                                "params": read_json(args.params)})
     if args.spec is None:
         raise _UsageError("provide a spec file, '-', or --family NAME")
     if args.spec == "-":

@@ -30,8 +30,9 @@ class UniverseNotFinite(EvolAlgError):
 
 
 class ParseError(EvolAlgError):
-    """Input text could not be parsed."""
+    """An input value could not be read (not JSON, wrong shape or type)."""
 
 
 class ValidationError(EvolAlgError):
-    """Parsed input violates a structural constraint."""
+    """An input value reads but breaks a rule (a zero or non-finite weight,
+    a target out of order or outside the universe, a vertex given twice)."""

@@ -435,19 +435,41 @@ def _build_growing_teeth(params: dict) -> EvolutionStructure:
 
 # -- explicit finite ---------------------------------------------------------
 
+_EXPLICIT_KEYS = ("rows", "n", "universe", "mode", "tol")
+
+
 def _build_finite_explicit(params: dict) -> EvolutionStructure:
-    try:
-        rows = params["rows"]
+    """The finite structure of an explicit spec, ``{"rows": ..., "n": N,
+    "mode": ..., "tol": ...}``, where ``"universe": "finite:N"`` may stand
+    for ``"n": N``.  Both spellings, a ``{"rows": ...}`` spec and this
+    family's params, are read here; ``from_rows`` checks mode and tol."""
+    stray = [k for k in params if k not in _EXPLICIT_KEYS]
+    if stray:
+        raise InvalidParams(f"unknown key {stray[0]!r} in an explicit spec; "
+                            f"known: {', '.join(_EXPLICIT_KEYS)}")
+    if "rows" not in params:
+        raise InvalidParams("an explicit spec needs 'rows'")
+    if "universe" in params:
+        if "n" in params:
+            raise InvalidParams("give 'n' or 'universe', not both")
+        uni = params["universe"]
+        n = None
+        if isinstance(uni, str) and uni.startswith("finite:"):
+            try:
+                n = int(uni[len("finite:"):])
+            except ValueError:
+                pass
+        if n is None:
+            raise InvalidParams(f"'universe' must look like 'finite:N', "
+                                f"got {uni!r}")
+    elif "n" in params:
         n = params["n"]
-    except KeyError as e:
-        raise InvalidParams("finite_explicit needs 'rows' and 'n'") from e
-    try:
-        n = int(n)
-    except (TypeError, ValueError) as e:
-        raise InvalidParams(f"finite_explicit 'n' is not an integer: {e}") from e
-    mode = params.get("mode", "exact")
-    tol = params.get("tol", 1e-12)
-    return EvolutionStructure.from_rows(rows, n, mode, tol)
+    else:
+        raise InvalidParams("an explicit spec needs 'n' or 'universe': "
+                            "'finite:N'")
+    return EvolutionStructure.from_rows(params["rows"], n,
+                                        params.get("mode", "exact"),
+                                        params.get("tol", 1e-12))
 
 
 _BUILDERS: dict[str, Callable[[dict], EvolutionStructure]] = {

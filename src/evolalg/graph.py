@@ -13,7 +13,6 @@ certificate.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ from .errors import (
     InvalidParams,
     NoColumnAccess,
     NoTailBound,
+    ParseError,
     ValidationError,
 )
 from .scalars import abs_sq, abs_upper, as_scalar, is_zero, scalar_str
@@ -258,6 +258,9 @@ class EvolutionStructure:
             raise InvalidParams(f"finite universe of size {universe} exceeds "
                                 f"the ceiling UNIVERSE_CEILING = "
                                 f"{UNIVERSE_CEILING}")
+        if type(tol) not in (int, float) or not 0 <= tol < math.inf:
+            raise InvalidParams(f"tol must be a finite number >= 0, "
+                                f"got {tol!r}")
         self.mode = mode
         self.universe = universe
         self.meta = meta
@@ -321,36 +324,15 @@ class EvolutionStructure:
     @classmethod
     def from_rows(cls, rows: dict, n: int, mode: str = "exact",
                   tol: float = 1e-12) -> "EvolutionStructure":
-        """Finite structure from an explicit row map {i: [(target, weight), ...]}.
+        """Finite structure from explicit rows ``{i: [[target, weight] or
+        [target, re, im], ...]}``; keys may be ints or integer strings.
 
-        Each entry is checked once: its weight here, its target order by
-        :class:`FiniteRow`.  The column table is built on the first
-        ``column_of``.
+        ``n``, mode and tol are checked before any weight is read.  Each
+        entry is then read once: its weight by :func:`as_scalar`, its target
+        order by :class:`FiniteRow`.  The column table is built on the
+        first ``column_of``.
         """
-        if n < 1:
-            raise ValidationError("universe size must be >= 1")
         table: dict[int, FiniteRow] = {}
-        for i, entries in rows.items():
-            i = int(i)
-            if not 1 <= i <= n:
-                raise ValidationError(f"row index {i} outside universe 1..{n}")
-            converted = []
-            for k, w in entries:
-                k = int(k)
-                wv = as_scalar(w, mode)
-                if mode == "float" and not cmath.isfinite(wv):
-                    raise ValidationError(f"row {i}: weight {w!r} on edge "
-                                          f"to {k} is not finite")
-                if is_zero(wv, tol):  # exact scalars ignore tol
-                    raise ValidationError(f"row {i}: zero weight on edge to {k}")
-                converted.append((k, wv))
-            try:
-                table[i] = FiniteRow(tuple(converted))
-            except ValidationError as e:
-                raise ValidationError(f"row {i}: {e}") from None
-            if converted and converted[-1][0] > n:  # the largest target
-                raise ValidationError(f"row {i}: target {converted[-1][0]} "
-                                      f"outside universe 1..{n}")
         empty = FiniteRow(())
         columns: Optional[dict] = None
 
@@ -364,14 +346,47 @@ class EvolutionStructure:
                 columns = {t: FiniteRow(tuple(v)) for t, v in cols.items()}
             return columns.get(k, empty)
 
-        src = {"kind": "explicit", "mode": mode, "n": n,
-               "rows": {i: r.entries for i, r in sorted(table.items())}}
-        return cls(mode,
-                   row_fn=lambda i: table.get(i, empty),
-                   universe=n,
-                   column_fn=column_fn,
-                   tol=tol,
-                   source=src)
+        if type(n) is not int:  # None would make the universe infinite
+            raise InvalidParams(f"the universe size n must be an integer, "
+                                f"got {n!r}")
+        s = cls(mode, row_fn=lambda i: table.get(i, empty), universe=n,
+                column_fn=column_fn, tol=tol)
+        if not isinstance(rows, dict):
+            raise ParseError("'rows' must be an object mapping vertex -> "
+                             "entries")
+        for key, entries in rows.items():
+            try:
+                i = int(key)
+            except (TypeError, ValueError) as e:
+                raise ParseError(f"row key {key!r} is not an integer") from e
+            if not 1 <= i <= n:
+                raise ValidationError(f"row index {i} outside universe 1..{n}")
+            if i in table:
+                raise ValidationError(f"row {i} is given twice")
+            converted = []
+            try:
+                if not isinstance(entries, (list, tuple)):
+                    raise ParseError("entries must be a list")
+                for e in entries:
+                    if not isinstance(e, (list, tuple)) or len(e) not in (2, 3):
+                        raise ParseError(f"entries are [target, weight] or "
+                                         f"[target, re, im], got {e!r}")
+                    k = e[0]
+                    if type(k) is not int:
+                        raise ParseError(f"target {k!r} is not an integer")
+                    w = as_scalar(e[1] if len(e) == 2 else e[1:], mode)
+                    if is_zero(w, tol):  # exact scalars ignore tol
+                        raise ValidationError(f"zero weight on edge to {k}")
+                    converted.append((k, w))
+                table[i] = FiniteRow(tuple(converted))
+                if converted and converted[-1][0] > n:  # the largest target
+                    raise ValidationError(f"target {converted[-1][0]} "
+                                          f"outside universe 1..{n}")
+            except (ParseError, ValidationError) as e:
+                raise type(e)(f"row {i}: {e}") from None
+        s.source = {"kind": "explicit", "mode": mode, "n": n,
+                    "rows": {i: r.entries for i, r in sorted(table.items())}}
+        return s
 
 
 # -- budgeted traversals ----------------------------------------------------

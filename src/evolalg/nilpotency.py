@@ -288,8 +288,11 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
 
     if not meta.ranks_finite:
         if bad is None:
-            verdict = _maybe(f"oracle reports an infinite depth somewhere, "
-                             f"but none within the first {scan} vertices")
+            limit = (f"the budget {budget}" if budget <= CLASSIFY_SCAN_CAP
+                     else f"CLASSIFY_SCAN_CAP = {CLASSIFY_SCAN_CAP}")
+            verdict = _maybe(f"family metadata reports an infinite rank, but "
+                             f"vertices 1..{scan} have finite rank; the scan "
+                             f"stops at {limit}")
             return NilpotencyReport(verdict, verdict, None, budget, tuple(notes))
         ray = _materialise_ray(s, rank, bad, min(budget, 48) + 1)
         witness = RayPrefix(ray) if len(ray) >= 2 else None

@@ -15,13 +15,14 @@ we must round, we round *up*, so every reported bound is a true upper bound.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-from .errors import InvalidParams
+from .errors import InvalidParams, ParseError, ValidationError
 
 # Rational brackets for sqrt2, accurate to 1e-30.  Used when a Q2 value has
 # to be bounded by rationals (e.g. inside certified tail computations).
@@ -406,27 +407,54 @@ EX_INV_SQRT2 = ExactScalar(Q2(0, Fraction(1, 2)))  # 1/sqrt2 == sqrt2/2
 Scalar = Union[ExactScalar, complex]
 
 
+def _real(x, exact: bool):
+    """A real part of a weight: a Q2 when ``exact``, else a float."""
+    t = type(x)
+    try:
+        if t is str:
+            return q2_parse(x) if exact else float(Fraction(x))
+        if t is int or t is Fraction:
+            return Q2(x) if exact else float(x)
+        if t is (Q2 if exact else float):
+            return x
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        raise ParseError(f"cannot read {x!r} as "
+                         f"{'an exact number' if exact else 'a float'}") from e
+    if t is float:
+        raise ParseError(f"float {x!r} in exact mode; quote a rational "
+                         f"string or switch to mode 'float'")
+    raise ParseError(f"cannot read {x!r} as "
+                     f"{'an exact number' if exact else 'a float'}")
+
+
 def as_scalar(value, mode: str):
-    """Coerce a user-supplied value into the scalar type of ``mode``."""
-    if mode == "exact":
-        if isinstance(value, ExactScalar):
-            return value
-        if isinstance(value, str):
-            return ExactScalar(q2_parse(value))
-        if isinstance(value, (int, Fraction)):
-            return ExactScalar(Q2(_as_fraction(value)))
-        if isinstance(value, Q2):
-            return ExactScalar(value)
-        raise TypeError(f"cannot use {value!r} as an exact scalar")
-    if mode == "float":
-        if isinstance(value, complex):
-            return value
-        if isinstance(value, (int, float, Fraction)):
-            return complex(value)
-        if isinstance(value, ExactScalar):
-            return complex(value)
-        raise TypeError(f"cannot use {value!r} as a float scalar")
-    raise ValueError(f"unknown mode {mode!r}")
+    """The scalar of ``mode`` that a weight denotes; every row weight and
+    element coefficient is converted here, once.
+
+    Exact mode reads ints, rational strings ("1/2", "1/3+1/2*sqrt2"),
+    ``Fraction``, ``Q2`` and ``ExactScalar``; float mode reads ints, floats,
+    rational strings, ``Fraction`` and ``complex``.  Either reads an
+    ``[re, im]`` pair of real values.  ParseError for a value that cannot be
+    read (a bool, a float in exact mode, a string past the float range);
+    ValidationError for a float-mode value that is not finite.
+    """
+    exact = mode == "exact"
+    if not exact and mode != "float":
+        raise InvalidParams(f"unknown mode {mode!r}")
+    t = type(value)
+    if t is list or t is tuple:
+        if len(value) != 2:
+            raise ParseError(f"complex values are [re, im], got {value!r}")
+        re, im = _real(value[0], exact), _real(value[1], exact)
+        z = ExactScalar(re, im) if exact else complex(re, im)
+    elif t is (ExactScalar if exact else complex):
+        z = value
+    else:
+        r = _real(value, exact)
+        z = ExactScalar(r) if exact else complex(r)
+    if exact or cmath.isfinite(z):
+        return z
+    raise ValidationError(f"weight {value!r} is not finite")
 
 
 def scalar_zero(mode: str):

@@ -1,21 +1,32 @@
 """JSON input-spec parsing and report-friendly rendering.
 
-Input spec (one JSON object):
+Input spec (one JSON object), a family reference or explicit finite rows:
 
     {"family": "<name>", "params": {...}}
     {"rows": {"1": [[2, "1/2"], [3, ["0", "1"]]]}, "n": 3,
      "mode": "exact", "tol": 1e-12}
 
-The universe size may also be spelled ``"universe": "finite:3"`` in place of
-``"n": 3``.
+An explicit spec takes the keys ``rows``, ``n`` (an integer >= 1) or
+``"universe": "finite:N"`` in its place, ``mode`` ("exact", the default, or
+"float") and ``tol`` (a finite number >= 0, default 1e-12, the float-mode
+zero tolerance).  It is read by one routine whichever way it comes, as a
+``{"rows": ...}`` spec or as the params of the ``finite_explicit`` family.
 
 Row entries are ``[target, weight]`` or ``[target, re, im]``; weights are
 integers, rational strings ("1/2", "1/3+1/2*sqrt2"), or ``[re, im]`` pairs.
 Plain floats are only accepted in float mode; exact mode rejects them rather
-than silently converting.
+than silently converting.  Every weight is converted once, by
+:func:`~evolalg.scalars.as_scalar`.
 
 Elements use the same weight forms: ``[[vertex, weight], ...]`` or
 ``[[vertex, re, im], ...]`` or an object ``{"vertex": weight}``.
+
+Errors: ParseError for a value that cannot be read (text that is not JSON,
+a row that is not a list, a bool or a float in exact mode as a weight);
+ValidationError for a value that reads but breaks a rule (a zero weight, a
+float weight that is not finite, a target out of order or outside the
+universe, a vertex given twice); InvalidParams for a bad ``n``,
+``universe``, ``mode`` or ``tol`` and for an unknown key.
 """
 from __future__ import annotations
 
@@ -26,116 +37,33 @@ import math
 from fractions import Fraction
 
 from .algebra import ApproxElement, Element
-from .errors import ParseError
-from .families import FamilySpec, build_family
+from .errors import ParseError, ValidationError
+from .families import FamilySpec, _build_finite_explicit, build_family
 from .graph import EvolutionStructure
-from .scalars import ExactScalar, Q2, fraction_str, q2_parse, q2_str
-
-# -- weights -----------------------------------------------------------------
-
-
-def _q2_of(raw) -> Q2:
-    if isinstance(raw, bool):
-        raise ParseError(f"booleans are not numbers: {raw!r}")
-    if isinstance(raw, int):
-        return Q2(raw)
-    if isinstance(raw, str):
-        try:
-            return q2_parse(raw)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"cannot parse exact number {raw!r}") from e
-    if isinstance(raw, float):
-        raise ParseError(f"float {raw!r} in exact mode; quote a rational "
-                         f"string or switch to mode 'float'")
-    raise ParseError(f"cannot read {raw!r} as an exact number")
-
-
-def _float_of(raw) -> float:
-    if isinstance(raw, bool):
-        raise ParseError(f"booleans are not numbers: {raw!r}")
-    if not isinstance(raw, (int, float, str)):
-        raise ParseError(f"cannot read {raw!r} as a number")
-    try:
-        f = float(Fraction(raw)) if isinstance(raw, str) else float(raw)
-    except (ValueError, ZeroDivisionError, OverflowError) as e:
-        raise ParseError(f"cannot parse number {raw!r}") from e
-    if not math.isfinite(f):
-        raise ParseError(f"number {raw!r} is not finite")
-    return f
-
-
-def parse_weight(raw, mode: str):
-    """One scalar from its JSON form, honouring the structure mode."""
-    if isinstance(raw, list):
-        if len(raw) != 2:
-            raise ParseError(f"complex values are [re, im], got {raw!r}")
-        if mode == "exact":
-            return ExactScalar(_q2_of(raw[0]), _q2_of(raw[1]))
-        return complex(_float_of(raw[0]), _float_of(raw[1]))
-    if mode == "exact":
-        return ExactScalar(_q2_of(raw))
-    return complex(_float_of(raw))
-
-
-def _normalize_rows(raw_rows, mode: str) -> dict:
-    if not isinstance(raw_rows, dict):
-        raise ParseError("'rows' must be an object mapping vertex -> entries")
-    out = {}
-    for key, entries in raw_rows.items():
-        try:
-            i = int(key)
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"row key {key!r} is not an integer") from e
-        if not isinstance(entries, list):
-            raise ParseError(f"row {i}: entries must be a list")
-        conv = []
-        for e in entries:
-            if not isinstance(e, list) or len(e) not in (2, 3):
-                raise ParseError(f"row {i}: entries are [target, weight] or "
-                                 f"[target, re, im], got {e!r}")
-            target = e[0]
-            if isinstance(target, bool) or not isinstance(target, int):
-                raise ParseError(f"row {i}: target {target!r} is not an integer")
-            raw_w = e[1] if len(e) == 2 else [e[1], e[2]]
-            conv.append((target, parse_weight(raw_w, mode)))
-        out[i] = conv
-    return out
-
+from .scalars import ExactScalar, Q2, as_scalar, fraction_str, q2_str
 
 # -- structures --------------------------------------------------------------
 
 
-def _universe_size(obj) -> int:
-    if "n" in obj:
-        if "universe" in obj:
-            raise ParseError("give 'n' or 'universe', not both")
-        n = obj["n"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ParseError(f"'n' must be an integer, got {n!r}")
-        return n
-    uni = obj.get("universe")
-    if uni is None:
-        raise ParseError("explicit specs need 'n' or 'universe': 'finite:N'")
-    if isinstance(uni, str) and uni.startswith("finite:"):
-        try:
-            return int(uni[len("finite:"):])
-        except ValueError:
-            pass
-    raise ParseError(f"'universe' must look like 'finite:N', got {uni!r}")
+def read_json(spec):
+    """The JSON value of ``spec`` when it is text, else ``spec`` itself.
+
+    ParseError also for text the decoder refuses past its limits: integers
+    longer than ``sys.get_int_max_str_digits()`` and nesting deeper than
+    the recursion limit."""
+    if not isinstance(spec, (str, bytes)):
+        return spec
+    try:
+        return json.loads(spec)
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"invalid JSON: {e}") from e
 
 
 def parse_structure(spec) -> EvolutionStructure:
     """Build a structure from an input-spec JSON object or its text."""
-    if isinstance(spec, (str, bytes)):
-        try:
-            obj = json.loads(spec)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}") from e
-    else:
-        obj = spec
+    obj = read_json(spec)
     if not isinstance(obj, dict):
         raise ParseError("input spec must be a JSON object")
-
     if "family" in obj:
         name = obj["family"]
         params = obj.get("params", {})
@@ -143,21 +71,9 @@ def parse_structure(spec) -> EvolutionStructure:
             raise ParseError("'family' must be a string")
         if not isinstance(params, dict):
             raise ParseError("'params' must be an object")
-        if name == "finite_explicit" and "rows" in params:
-            params = dict(params)
-            params["rows"] = _normalize_rows(params["rows"],
-                                             params.get("mode", "exact"))
         return build_family(FamilySpec(name, params))
-
     if "rows" in obj:
-        mode = obj.get("mode", "exact")
-        if mode not in ("exact", "float"):
-            raise ParseError(f"mode must be 'exact' or 'float', got {mode!r}")
-        n = _universe_size(obj)
-        rows = _normalize_rows(obj["rows"], mode)
-        tol = obj.get("tol", 1e-12)
-        return EvolutionStructure.from_rows(rows, n, mode, tol)
-
+        return _build_finite_explicit(obj)
     raise ParseError("expected {'family': name, 'params': ...} or "
                      "{'rows': ..., 'n': ...}")
 
@@ -176,13 +92,7 @@ def serialize_structure(s: EvolutionStructure) -> dict:
 
 def parse_element(spec, mode: str) -> Element:
     """Element from ``[[vertex, weight], ...]`` / ``{"vertex": weight}`` JSON."""
-    if isinstance(spec, (str, bytes)):
-        try:
-            obj = json.loads(spec)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}") from e
-    else:
-        obj = spec
+    obj = read_json(spec)
     if isinstance(obj, dict):
         items = []
         for key, raw in obj.items():
@@ -197,17 +107,17 @@ def parse_element(spec, mode: str) -> Element:
                 raise ParseError(f"element entries are [vertex, weight] or "
                                  f"[vertex, re, im], got {e!r}")
             v = e[0]
-            if isinstance(v, bool) or not isinstance(v, int):
+            if type(v) is not int:
                 raise ParseError(f"vertex {v!r} is not an integer")
-            items.append((v, e[1] if len(e) == 2 else [e[1], e[2]]))
+            items.append((v, e[1] if len(e) == 2 else e[1:]))
     else:
         raise ParseError("element must be a JSON list or object")
 
     coeffs = {}
     for v, raw in items:
         if v in coeffs:
-            raise ParseError(f"vertex {v} appears twice")
-        coeffs[v] = parse_weight(raw, mode)
+            raise ValidationError(f"vertex {v} appears twice")
+        coeffs[v] = as_scalar(raw, mode)
     return Element(coeffs)
 
 

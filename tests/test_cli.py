@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 import evolalg
@@ -27,6 +28,7 @@ from evolalg import (
 from evolalg import cli
 from evolalg._version import __version__
 from evolalg.cli import run
+from evolalg.algebra import POWER_CEILING
 from evolalg.graph import WINDOW_CEILING
 from evolalg.serialize import element_jsonable, parse_element, parse_structure
 
@@ -408,16 +410,18 @@ def test_float_specs_out_of_range_exit_2():
     huge = "1" + "0" * 400
     cases = (
         (["analyze", "-"], '{"mode": "float", "n": 2, "rows": '
-                           '{"1": [[2, "%s"]], "2": []}}' % huge),
+                           '{"1": [[2, "%s"]], "2": []}}' % huge,
+         "ParseError"),
         (["analyze", "-"], '{"mode": "float", "n": 2, "rows": '
-                           '{"1": [[2, NaN]], "2": []}}'),
+                           '{"1": [[2, NaN]], "2": []}}', "ValidationError"),
         (["bounds", "-", "--frobenius"], '{"mode": "float", "n": 2, "rows": '
-                                         '{"1": [[2, 1e400]], "2": []}}'),
+                                         '{"1": [[2, 1e400]], "2": []}}',
+         "ValidationError"),
     )
-    for argv, spec in cases:
+    for argv, spec, error in cases:
         code, out, err = invoke(argv, spec)
         assert (code, out) == (2, ""), spec
-        assert err.startswith("evolalg: ParseError:"), err
+        assert err.startswith(f"evolalg: {error}:"), err
 
 
 def test_float_products_past_the_float_range_exit_2():
@@ -476,3 +480,158 @@ def test_frobenius_bounds_past_the_float_range():
                                 json.dumps(spec))
         assert (code, out) == (2, ""), spec
         assert "sys.float_info.max" in err
+
+
+def _refusal(argv, stdin=None):
+    """The error class of a refusal: exit 2, one stderr line, no stdout."""
+    code, out, err = invoke(argv, stdin)
+    assert (code, out) == (2, ""), (argv, stdin, err)
+    assert err.startswith("evolalg: ") and err.count("\n") == 1, err
+    return err.split(":")[1].strip()
+
+
+ROWS = {"1": [[2, 1]], "2": []}
+FLOAT_ROWS = {"mode": "float", "n": 2}
+
+# Every refusal of the explicit-spec readers (_build_finite_explicit,
+# EvolutionStructure.from_rows and __init__, as_scalar), with its class.
+EXPLICIT_REFUSALS = [
+    # the keys beside the rows
+    ({"rows": ROWS, "n": 2, "mode": "bogus"}, "InvalidParams"),
+    ({"rows": ROWS, "n": 2, "mode": None}, "InvalidParams"),
+    ({"rows": ROWS, "n": 2, "tol": "x"}, "InvalidParams"),
+    ({"rows": ROWS, "n": 2, "tol": -1}, "InvalidParams"),
+    ({"rows": ROWS, "n": 2, "tol": float("nan")}, "InvalidParams"),
+    ({"rows": ROWS, "n": 2, "tol": float("inf")}, "InvalidParams"),
+    # with tol -1 this zero-weight self-loop was read as an edge, and
+    # analyze certified "not nil" from it
+    ({"rows": {"1": [[1, 0.0]]}, "n": 1, "mode": "float", "tol": -1},
+     "InvalidParams"),
+    ({"rows": ROWS, "n": 3.7}, "InvalidParams"),
+    ({"rows": ROWS, "n": "3"}, "InvalidParams"),
+    ({"rows": ROWS, "n": True}, "InvalidParams"),
+    ({"rows": ROWS, "n": None}, "InvalidParams"),
+    ({"rows": ROWS, "n": 0}, "InvalidParams"),
+    ({"rows": ROWS, "n": 10**12}, "InvalidParams"),
+    ({"rows": ROWS}, "InvalidParams"),
+    ({"rows": ROWS, "n": 2, "universe": "finite:2"}, "InvalidParams"),
+    ({"rows": ROWS, "universe": "finite:x"}, "InvalidParams"),
+    ({"rows": ROWS, "universe": 2}, "InvalidParams"),
+    ({"rows": ROWS, "universe": "infinite"}, "InvalidParams"),
+    ({"rows": ROWS, "n": 2, "nodes": 2}, "InvalidParams"),
+    # the rows
+    ({"rows": [], "n": 2}, "ParseError"),
+    ({"rows": {"a": []}, "n": 2}, "ParseError"),
+    ({"rows": {"3": []}, "n": 2}, "ValidationError"),
+    ({"rows": {"0": []}, "n": 2}, "ValidationError"),
+    ({"rows": {"1": [], "01": []}, "n": 2}, "ValidationError"),
+    ({"rows": {"1": {"2": 1}}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [2, 1]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [[2]]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [[2, 1, 0, 0]]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [["2", 1]]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [[True, 1]]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [[2, "0/1"]]}, "n": 2}, "ValidationError"),
+    ({"rows": {"1": [[2, 1e-13]]}, **FLOAT_ROWS, "tol": 1e-9},
+     "ValidationError"),
+    ({"rows": {"1": [[2, 1], [1, 1]]}, "n": 2}, "ValidationError"),
+    ({"rows": {"1": [[2, 1], [2, 1]]}, "n": 2}, "ValidationError"),
+    ({"rows": {"1": [[0, 1]]}, "n": 2}, "ValidationError"),
+    ({"rows": {"1": [[3, 1]]}, "n": 2}, "ValidationError"),
+    # exact weights
+    ({"rows": {"1": [[2, "abc"]]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [[2, "1/0"]]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [[2, 0.5]]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [[2, "1", 0.5]]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [[2, True]]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [[2, None]]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [[2, {}]]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [[2, [1, 2, 3]]]}, "n": 2}, "ParseError"),
+    # float weights
+    ({"rows": {"1": [[2, "abc"]]}, **FLOAT_ROWS}, "ParseError"),
+    ({"rows": {"1": [[2, "1" + "0" * 400]]}, **FLOAT_ROWS}, "ParseError"),
+    ({"rows": {"1": [[2, 10**400]]}, **FLOAT_ROWS}, "ParseError"),
+    ({"rows": {"1": [[2, False]]}, **FLOAT_ROWS}, "ParseError"),
+    ({"rows": {"1": [[2, [1.0, None]]]}, **FLOAT_ROWS}, "ParseError"),
+    ({"rows": {"1": [[2, float("nan")]]}, **FLOAT_ROWS}, "ValidationError"),
+    ({"rows": {"1": [[2, float("-inf")]]}, **FLOAT_ROWS}, "ValidationError"),
+    ({"rows": {"1": [[2, 1.0, float("inf")]]}, **FLOAT_ROWS},
+     "ValidationError"),
+]
+
+
+@pytest.mark.parametrize("spec,error", EXPLICIT_REFUSALS,
+                         ids=[str(n) for n in range(len(EXPLICIT_REFUSALS))])
+def test_explicit_spellings_refuse_alike(spec, error):
+    """A {"rows": ...} spec on stdin and the same object as finite_explicit
+    params give one exit code and one stderr line."""
+    text = json.dumps(spec)
+    via_family = invoke(["analyze", "--family", "finite_explicit",
+                         "--params", text])
+    assert invoke(["analyze", "-"], text) == via_family
+    assert _refusal(["analyze", "-"], text) == error
+
+
+def test_finite_explicit_needs_rows():
+    assert _refusal(["analyze", "--family", "finite_explicit", "--params",
+                     '{"n": 2}']) == "InvalidParams"
+
+
+@pytest.mark.parametrize("argv,stdin,error", [
+    (["analyze", "-"], "{nope", "ParseError"),
+    (["analyze", "-"], '{"n": 1%s}' % ("0" * 5000), "ParseError"),
+    (["analyze", "-"], "[" * 100000, "ParseError"),
+    (["analyze", "-"], "[]", "ParseError"),
+    (["analyze", "-"], '{"family": 1}', "ParseError"),
+    (["analyze", "-"], '{"family": "comb", "params": []}', "ParseError"),
+    (["analyze", "-"], '{"n": 2}', "ParseError"),
+    (["analyze", "--family", "comb", "--params", "[" * 100000], None,
+     "ParseError"),
+    (["analyze", "--family", "comb", "--params", "[]"], None, "ParseError"),
+])
+def test_spec_refusals(argv, stdin, error):
+    assert _refusal(argv, stdin) == error
+
+
+@pytest.mark.parametrize("element,mode,error", [
+    ("{nope", "exact", "ParseError"),
+    ("[" * 100000, "exact", "ParseError"),
+    ('"e1"', "exact", "ParseError"),
+    ("3", "exact", "ParseError"),
+    ('{"a": 1}', "exact", "ParseError"),
+    ("[[1]]", "exact", "ParseError"),
+    ("[1]", "exact", "ParseError"),
+    ('[["1", 1]]', "exact", "ParseError"),
+    ("[[true, 1]]", "exact", "ParseError"),
+    ("[[1, 1], [1, 2]]", "exact", "ValidationError"),
+    ('{"1": 1, "01": 2}', "exact", "ValidationError"),
+    ('{"1": 0.5}', "exact", "ParseError"),
+    ('{"1": "x"}', "exact", "ParseError"),
+    ('{"1": [1, 2, 3]}', "exact", "ParseError"),
+    ("[[1, 1, null]]", "exact", "ParseError"),
+    ('{"1": true}', "float", "ParseError"),
+    ('{"1": "1e400"}', "float", "ParseError"),
+    ('{"1": NaN}', "float", "ValidationError"),
+    ("[[1, 1, -Infinity]]", "float", "ValidationError"),
+])
+def test_element_refusals(element, mode, error):
+    spec = json.dumps({"mode": mode, "n": 2, "rows": ROWS})
+    for command in (["power", "-", "--element", element, "-n", "2"],
+                    ["apply", "-", "--op", "omega", "--vector", element]):
+        assert _refusal(command, spec) == error
+
+
+def test_power_exponent_ceiling():
+    base = ["power", "--family", "hub_line", "--element", '{"2": 1}', "-n"]
+    code, square = report(base + ["2"])
+    assert code == 0
+    code, top = report(base + [str(POWER_CEILING)])
+    assert code == 0
+    # u^2 = u^3 = ... = e_2 + e_3 on hub_line
+    assert top["result"] == square["result"]
+    start = time.monotonic()
+    code, out, err = invoke(base + [str(POWER_CEILING + 1)])
+    assert (code, out) == (2, "")
+    assert err.startswith("evolalg: InvalidParams:")
+    assert f"POWER_CEILING = {POWER_CEILING}" in err
+    assert time.monotonic() - start < 1.0

@@ -33,6 +33,8 @@ from evolalg import (
 )
 from evolalg import nilpotency
 from evolalg.errors import BudgetZero, InvalidParams
+from evolalg.graph import INFINITE, FamilyMeta
+from evolalg.scalars import EX_ONE
 
 
 def two_cycle():
@@ -266,6 +268,34 @@ def test_classify_reads_at_most_scan_cap_ranks():
     assert (r.nil.status, r.nilpotent.status) == ("yes", "no")
     assert validate_witness(s, r.nilpotent.witness)
     assert calls
+
+
+def _late_ray(start):
+    """Sinks 1..start-1, then the ray start -> start+1 -> ...; its metadata
+    says some rank is infinite, as it is from `start` on."""
+    def row(i):
+        return FiniteRow(((i + 1, EX_ONE),) if i >= start else ())
+    meta = FamilyMeta(rank=lambda i: INFINITE if i >= start else 0,
+                      sup_rank=INFINITE, ranks_finite=False)
+    return EvolutionStructure("exact", row, meta=meta)
+
+
+def test_classify_inconclusive_when_the_infinite_rank_lies_past_the_scan():
+    cap = nilpotency.CLASSIFY_SCAN_CAP
+    s = _late_ray(cap + 1)
+    for budget, limit in ((5, "the budget 5"), (cap, f"the budget {cap}"),
+                          (10**6, f"CLASSIFY_SCAN_CAP = {cap}")):
+        r = classify(s, budget)
+        assert r.nil.status == r.nilpotent.status == "inconclusive"
+        assert not r.nil.certified and r.index is None
+        scan = min(budget, cap)
+        assert r.nil.reason == (
+            f"family metadata reports an infinite rank, but vertices 1..{scan}"
+            f" have finite rank; the scan stops at {limit}")
+    # once the scan reaches the ray it certifies "not nil"
+    r = classify(_late_ray(40), 64)
+    assert (r.nil.status, r.nil.certified) == ("no", True)
+    assert validate_witness(_late_ray(40), r.nil.witness)
 
 
 def test_classify_runs_one_window_search(monkeypatch):

@@ -11,7 +11,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from evolalg.errors import InvalidParams
+from evolalg.errors import InvalidParams, ParseError
+from evolalg.operators import _upperize
 from evolalg.scalars import (
     EX_INV_SQRT2,
     EX_ONE,
@@ -146,6 +147,44 @@ def test_abs_bounds_on_irrational_modulus():
     assert abs_lower(z) ** 2 <= 2 <= abs_upper(z) ** 2
 
 
+q2s = st.builds(Q2, fractions, fractions)
+
+
+@example(re=Q2(1), im=Q2(2))  # |1+2i| = sqrt5, which Q(sqrt2) lacks
+@example(re=Q2(1), im=Q2(0, 1))  # |1+sqrt2 i| = sqrt3
+@example(re=Q2(1, 1), im=Q2(0))  # 1+sqrt2 > 0: an exact modulus
+@given(re=q2s, im=q2s)
+def test_abs_brackets_enclose_the_modulus(re, im):
+    """abs_lower(z)^2 <= |z|^2 <= abs_upper(z)^2, compared exactly in
+    Q(sqrt2), whether or not |z| lies in Q(sqrt2)."""
+    z = ExactScalar(re, im)
+    sq = z.abs_sq()
+    lo, hi = abs_lower(z), abs_upper(z)
+    assert 0 <= lo <= hi
+    assert Q2(lo * lo) <= sq <= Q2(hi * hi)
+    f = complex(z)
+    assert Q2(abs_lower(f) ** 2) <= abs_sq(f) <= Q2(abs_upper(f) ** 2)
+
+
+def test_abs_brackets_take_the_inexact_branch():
+    for z in (ExactScalar.from_rational(1, 2), ExactScalar(Q2(1), Q2(0, 1))):
+        assert z.abs_exact() is None
+        sq = z.abs_sq()
+        assert Q2(abs_lower(z) ** 2) < sq < Q2(abs_upper(z) ** 2)
+
+
+@example(x=Q2(0, 1))
+@example(x=Q2(-1, 1))  # sqrt2 - 1 > 0
+@given(x=q2s | st.fractions(min_value=0, max_value=100)
+       | st.floats(min_value=0, max_value=1e300))
+def test_upperize_bounds_from_above(x):
+    if isinstance(x, Q2) and x.sign() < 0:
+        x = -x
+    up = _upperize(x)
+    assert type(up) is Fraction
+    assert Q2(up) >= (x if isinstance(x, Q2) else Q2(Fraction(x)))
+
+
 @given(x=st.fractions(min_value=0, max_value=10**6, max_denominator=10**4))
 def test_sqrt_bracket_rigor(x):
     up = up_sqrt_frac(x)
@@ -197,10 +236,12 @@ def test_sqrt_bounds_outside_the_float_range():
 
 
 def test_as_scalar_modes():
+    with pytest.raises(InvalidParams, match="unknown mode"):
+        as_scalar(1, "bogus")
     assert as_scalar("1/2", "exact") == ExactScalar.from_rational(Fraction(1, 2))
     assert as_scalar("1/2*sqrt2", "exact") == ExactScalar(Q2(0, Fraction(1, 2)))
     assert as_scalar(Fraction(1, 4), "float") == 0.25 + 0j
-    with pytest.raises(TypeError):
+    with pytest.raises(ParseError):
         as_scalar(object(), "exact")
 
 
