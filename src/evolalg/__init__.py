@@ -30,8 +30,6 @@ from .graph import (
     INFINITE,
     DegreeAtLeastCap,
     DegreeExact,
-    DepthAtLeast,
-    DepthExact,
     EvolutionStructure,
     FamilyMeta,
     FiniteRow,
@@ -39,7 +37,6 @@ from .graph import (
     LazyRow,
     cycle_search,
     degree,
-    depth,
     descendants_generation,
     export_window_dot,
     path_is_valid,

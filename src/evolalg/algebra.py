@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import InfiniteRowReached, InvalidParams, NoTailBound, UniverseNotFinite
-from .graph import EvolutionStructure
+from .graph import WINDOW_CEILING, EvolutionStructure
 from .scalars import (
     EX_ZERO,
     abs_sq,
@@ -149,7 +149,12 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
     ``l2_tail=False`` declares that mapped lines have no square-summable
     tail, so truncating one raises NoTailBound.  In float mode a coefficient
     that overflowed (to inf, or to NaN by inf - inf) raises InvalidParams.
+    On an infinite universe a cutoff above WINDOW_CEILING is refused with
+    InvalidParams: a lazy line caches every entry up to the cutoff.
     """
+    if s.universe is None and cutoff is not None and cutoff > WINDOW_CEILING:
+        raise InvalidParams(f"cutoff {cutoff} exceeds the ceiling "
+                            f"WINDOW_CEILING = {WINDOW_CEILING}")
     acc: dict[int, object] = {}
     tail_bound = Fraction(0)
     approx = False
@@ -378,7 +383,8 @@ def subspace_chain(s: EvolutionStructure, n_max: int):
     """Dimensions of the principal power subspaces A^<1>, ..., A^<n_max>.
 
     Requires a finite universe of size at most 12 (this is the oracle-scale
-    brute force, not a general-purpose routine).
+    brute force, not a general-purpose routine) and n_max at most
+    POWER_CEILING.
     """
     if s.universe is None:
         raise UniverseNotFinite("subspace chain needs a finite universe")
@@ -387,6 +393,9 @@ def subspace_chain(s: EvolutionStructure, n_max: int):
         raise InvalidParams("subspace chain is restricted to n <= 12")
     if n_max < 1:
         raise InvalidParams("n_max must be >= 1")
+    if n_max > POWER_CEILING:
+        raise InvalidParams(f"n_max {n_max} exceeds the ceiling "
+                            f"POWER_CEILING = {POWER_CEILING}")
     tol = s.zero_tol
     basis_vectors = [Element.basis(i, s.mode) for i in range(1, n + 1)]
     dims = [n]

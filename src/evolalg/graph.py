@@ -5,17 +5,15 @@ pairs of the out-edges of vertex i, i.e. the expansion of the i-th basis
 square.  Rows enumerate in strictly increasing target order and never carry
 zero weights.  Vertex ids are 1-based.
 
-Budgets for generation/descendant queries are counted in *row entries
-enumerated*; the depth query takes its budget in BFS levels (and caps lazy
-row enumeration internally, see :func:`depth`).  A truncated traversal is
-always reported as such; nothing truncated is ever presented as a
-certificate.
+Budgets for traversals are counted in *row entries enumerated*.  A
+truncated traversal is always reported as such; nothing truncated is ever
+presented as a certificate.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -37,11 +35,6 @@ INFINITE = math.inf
 
 # A lazy row without a cutoff is probed this far before it counts as infinite.
 LAZY_ROW_PROBE = 4096
-
-# depth() pulls at most DEPTH_PROBE + DEPTH_PROBE_PER_LEVEL * budget entries
-# of each lazy row.
-DEPTH_PROBE = 64
-DEPTH_PROBE_PER_LEVEL = 4
 
 # A window {1..window} on an infinite universe may span at most this many
 # vertices: windowed routines build a row and some state for every vertex in
@@ -99,9 +92,8 @@ class FiniteRow:
             return targets, True, count
         return targets[:count], False, count + 1
 
-    def prefix(self, cutoff: Optional[int] = None,
-               probe: int = LAZY_ROW_PROBE) -> Tuple[Sequence[Entry], bool]:
-        """Every entry, whatever the cutoff or probe; always exhausted."""
+    def prefix(self, cutoff: Optional[int] = None) -> Tuple[Sequence[Entry], bool]:
+        """Every entry, whatever the cutoff; always exhausted."""
         return self.entries, True
 
     def tail_sq(self, n: int):
@@ -183,12 +175,11 @@ class LazyRow:
         entries, exhausted, enumerated = self.upto(max_vertex)
         return tuple(k for k, _w in entries), exhausted, enumerated
 
-    def prefix(self, cutoff: Optional[int] = None,
-               probe: int = LAZY_ROW_PROBE) -> Tuple[Sequence[Entry], bool]:
-        """Entries with target <= cutoff, or the first `probe` entries when
-        there is no cutoff, and whether they exhaust the row."""
+    def prefix(self, cutoff: Optional[int] = None) -> Tuple[Sequence[Entry], bool]:
+        """Entries with target <= cutoff, or the first LAZY_ROW_PROBE entries
+        when there is no cutoff, and whether they exhaust the row."""
         if cutoff is None:
-            return self.first(probe)
+            return self.first(LAZY_ROW_PROBE)
         entries, exhausted, _ = self.upto(cutoff)
         return entries, exhausted
 
@@ -410,7 +401,6 @@ class GenerationResult:
     generation: int
     members: frozenset
     truncated: bool
-    first_hit: dict = field(compare=False)
 
 
 def descendants_generation(s: EvolutionStructure, vertices: Iterable[int],
@@ -420,8 +410,10 @@ def descendants_generation(s: EvolutionStructure, vertices: Iterable[int],
     Generation 0 is U itself.  `budget` counts row entries enumerated,
     summed over all rows and generations.  When the enumeration hits the
     budget, the result is flagged truncated and `members` is a subset of the
-    true D^m(U).  `first_hit` maps each vertex reached during the recursion to the first
-    generation that produced it (the BFS distance from U when untruncated).
+    true D^m(U).  Generations after an empty one are empty, so the
+    recursion stops at the first empty generation, which comes one step
+    past the largest rank in U or past the step that spent the budget,
+    however large m is.
     """
     U = sorted(set(vertices))
     for v in U:
@@ -429,79 +421,31 @@ def descendants_generation(s: EvolutionStructure, vertices: Iterable[int],
     if m < 0:
         raise InvalidParams("generation must be >= 0")
     if m == 0:
-        return GenerationResult(0, frozenset(U), False, {})
+        return GenerationResult(0, frozenset(U), False)
     if budget <= 0:
         if U:
             raise BudgetZero("no budget to enumerate any row entry")
-        return GenerationResult(m, frozenset(), False, {})
+        return GenerationResult(m, frozenset(), False)
 
-    bud = _Budget(budget)
+    left = budget
     truncated = False
     current = set(U)
-    first_hit: dict[int, int] = {}
-    for g in range(1, m + 1):
+    for _ in range(m):
+        if not current:
+            break
         nxt: set[int] = set()
         for v in sorted(current):
             for k, _w in s.row_of(v):
-                if not bud.take():
+                if not left:
                     # out of budget: whatever was collected stays a subset of
                     # the true generation, and later generations of a subset
-                    # are subsets too -- keep going without enumerating more
+                    # are subsets too, so the next generation is empty
                     truncated = True
                     break
+                left -= 1
                 nxt.add(k)
-                if k not in first_hit:
-                    first_hit[k] = g
         current = nxt
-    return GenerationResult(m, frozenset(current), truncated, first_hit)
-
-
-@dataclass(frozen=True)
-class DepthExact:
-    n: int
-
-
-@dataclass(frozen=True)
-class DepthAtLeast:
-    bound: int
-
-
-def depth(s: EvolutionStructure, i: int, budget: int):
-    """Depth of the descendant graph of i: sup of distances from i.
-
-    `budget` counts BFS levels explored.  Finite rows are read in full; lazy
-    rows are enumerated up to ``DEPTH_PROBE + DEPTH_PROBE_PER_LEVEL *
-    budget`` entries each, and if any was left unexhausted the verdict
-    degrades to ``DepthAtLeast`` (a path of that length was found).
-    """
-    s._check_vertex(i)
-    if budget < 1:
-        raise InvalidParams("budget must be >= 1")
-
-    probe = DEPTH_PROBE + DEPTH_PROBE_PER_LEVEL * budget
-    visited = {i}
-    dist: dict[int, int] = {}
-    frontier = [i]
-    truncated = False
-    level = 0
-    while frontier and level < budget:
-        level += 1
-        nxt: list[int] = []
-        for v in sorted(frontier):
-            entries, exhausted = s.row_of(v).prefix(probe=probe)
-            if not exhausted:
-                truncated = True
-            for k, _w in entries:
-                if k not in dist:
-                    dist[k] = level
-                if k not in visited:
-                    visited.add(k)
-                    nxt.append(k)
-        frontier = nxt
-    if not frontier and not truncated:
-        return DepthExact(max(dist.values(), default=0))
-    # every recorded distance is a genuine path length from i
-    return DepthAtLeast(max(dist.values(), default=0))
+    return GenerationResult(m, frozenset(current), truncated)
 
 
 def cycle_search(s: EvolutionStructure, window: int, budget: int):

@@ -2,7 +2,7 @@
 
 Certification discipline: a "certified" verdict rests either on a witness the
 caller can re-check against the structure (an oriented cycle, a ray prefix, a
-sequence of vertices with strictly growing depth) or on the rank the
+sequence of vertices with strictly growing rank) or on the rank the
 structure's family metadata is entitled to assert.  Search that merely ran
 out of budget is reported as inconclusive, never dressed up as a
 certificate.
@@ -25,21 +25,20 @@ from typing import Optional
 from .errors import BudgetZero, InvalidParams
 from .graph import (
     INFINITE,
-    DepthAtLeast,
-    DepthExact,
+    WINDOW_CEILING,
     EvolutionStructure,
-    depth,
+    descendants_generation,
     path_is_valid,
     window_dfs,
 )
 
 # On an infinite universe classify() searches the window
-# {1..min(budget + 8, CLASSIFY_WINDOW_CAP)} for cycles, reading at most
+# {1..min(budget + 8, WINDOW_CEILING)} for cycles, reading at most
 # CLASSIFY_ENTRIES_PER_BUDGET * budget row entries, and reads the rank of at
 # most CLASSIFY_SCAN_CAP vertices; a ray prefix from a vertex of infinite
 # rank looks at the first CLASSIFY_RAY_ROW_SCAN entries of each row it walks.
-# Windows passed in from outside are capped by graph.WINDOW_CEILING.
-CLASSIFY_WINDOW_CAP = 4096
+# validate_witness reads at most CLASSIFY_ENTRIES_PER_BUDGET * (r + 1) row
+# entries to find D^r(v) of a rank pair (v, r).
 CLASSIFY_ENTRIES_PER_BUDGET = 64
 CLASSIFY_SCAN_CAP = 256
 CLASSIFY_RAY_ROW_SCAN = 64
@@ -57,15 +56,16 @@ class CycleWitness:
 @dataclass(frozen=True)
 class RayPrefix:
     """Distinct consecutive vertices of an edge walk whose last vertex still
-    has an out-edge; evidence for an infinite ray (hence infinite depth)."""
+    has an out-edge; evidence for an infinite ray (hence infinite rank)."""
 
     vertices: tuple
 
 
 @dataclass(frozen=True)
 class UnboundedDepthSequence:
-    """(vertex, depth) pairs with strictly increasing depths; evidence that
-    depths are finite but not uniformly bounded."""
+    """(vertex, r) pairs with strictly increasing r, each claiming that
+    vertex has rank at least r, i.e. D^r(vertex) is nonempty; evidence that
+    ranks are finite but not uniformly bounded."""
 
     pairs: tuple
 
@@ -95,16 +95,11 @@ def validate_witness(s: EvolutionStructure, witness) -> bool:
         pairs = witness.pairs
         if len(pairs) < 2:
             return False
-        if any(d2 <= d1 for (_, d1), (_, d2) in zip(pairs, pairs[1:])):
+        if any(r2 <= r1 for (_, r1), (_, r2) in zip(pairs, pairs[1:])):
             return False
-        for vertex, d in pairs:
-            got = depth(s, vertex, budget=d + 2)
-            if isinstance(got, DepthExact) and got.n >= d:
-                continue
-            if isinstance(got, DepthAtLeast) and got.bound >= d:
-                continue
-            return False
-        return True
+        return all(descendants_generation(
+            s, [v], r, CLASSIFY_ENTRIES_PER_BUDGET * (r + 1)).members
+            for v, r in pairs)
     if isinstance(witness, LongPath):
         return len(witness.path) >= 2 and path_is_valid(s, witness.path)
     return False
@@ -216,7 +211,7 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
     heights.
 
     On infinite structures `budget` sets a window and an entry count: the
-    search covers the window {1..min(budget + 8, CLASSIFY_WINDOW_CAP)} and
+    search covers the window {1..min(budget + 8, WINDOW_CEILING)} and
     may enumerate CLASSIFY_ENTRIES_PER_BUDGET * budget row entries.  The
     rank is read for at most the first min(budget, CLASSIFY_SCAN_CAP)
     vertices, once each: the first of infinite rank starts a ray, and the
@@ -234,7 +229,7 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
         entries = window * window + window + 8  # every row read in full
         notes.append("finite universe decided exactly; budget advisory")
     else:
-        window = min(budget + 8, CLASSIFY_WINDOW_CAP)
+        window = min(budget + 8, WINDOW_CEILING)
         entries = CLASSIFY_ENTRIES_PER_BUDGET * budget
 
     # Stage 1: oriented cycles decide everything.

@@ -25,7 +25,7 @@ Errors: ParseError for a value that cannot be read (text that is not JSON,
 a row that is not a list, a bool or a float in exact mode as a weight);
 ValidationError for a value that reads but breaks a rule (a zero weight, a
 float weight that is not finite, a target out of order or outside the
-universe, a vertex given twice); InvalidParams for a bad ``n``,
+universe, a vertex given twice, an element vertex id below 1); InvalidParams for a bad ``n``,
 ``universe``, ``mode`` or ``tol`` and for an unknown key.
 """
 from __future__ import annotations
@@ -115,6 +115,8 @@ def parse_element(spec, mode: str) -> Element:
 
     coeffs = {}
     for v, raw in items:
+        if v < 1:
+            raise ValidationError(f"vertex id {v} out of range")
         if v in coeffs:
             raise ValidationError(f"vertex {v} appears twice")
         coeffs[v] = as_scalar(raw, mode)

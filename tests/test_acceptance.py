@@ -25,7 +25,6 @@ from evolalg import (
     build_family,
     classify,
     cycle_search,
-    depth,
     descendants_generation,
     growing_teeth_tooth,
     inner_product,
@@ -43,7 +42,6 @@ from evolalg import (
     validate_witness,
 )
 from evolalg.scalars import ExactScalar, EX_ZERO
-from evolalg.graph import DepthExact
 
 ZERO = Element({})
 
@@ -238,20 +236,26 @@ def test_change_of_basis_reproduces_signed_inv_sqrt2_pattern():
 
 
 def test_index_formula_discrepancy_is_flagged():
-    # A chain 1 -> 2 has vertex depths 1 and 0, yet the subspace chain dies
-    # only at step 3: the exact index is max depth + 2, and the naive
-    # "max depth + 1" shortcut undercounts.  This gate pins the exact value.
+    # A chain 1 -> 2 has vertex ranks 1 and 0, yet the subspace chain dies
+    # only at step 3: the exact index is max rank + 2, and the naive
+    # "max rank + 1" shortcut undercounts.  This gate pins the exact value.
     from evolalg import EvolutionStructure
+
+    def rank(s, i):
+        # the last m with D^m(i) nonempty
+        m = 0
+        while descendants_generation(s, [i], m + 1, 10**6).members:
+            m += 1
+        return m
 
     s = EvolutionStructure.from_rows({1: [(2, 1)]}, 2)
     bf = brute_force_nilpotent(s)
     assert bf.nilpotent and bf.index == 3
     assert classify(s).index == IndexExact(3)
-    assert depth(s, 1, 16) == DepthExact(1)
-    assert depth(s, 2, 16) == DepthExact(0)
+    assert (rank(s, 1), rank(s, 2)) == (1, 0)
     naive = 1 + 1
     assert naive != bf.index and bf.index == 1 + 2
 
     comb = build_family("comb")
     assert classify(comb).index == IndexExact(4)
-    assert max(depth(comb, i, 16).n for i in range(1, 9)) == 2  # 2 + 2 = 4
+    assert max(rank(comb, i) for i in range(1, 9)) == 2  # 2 + 2 = 4

@@ -244,6 +244,21 @@ def test_oracle_finite():
                              "nilpotent": True, "index": 3}
 
 
+def test_oracle_n_max_ceiling():
+    code, rep = report(["oracle", "-", "--n-max", str(POWER_CEILING)],
+                       SHIFT_PAIR)
+    assert code == 0
+    assert rep["result"]["dims"] == [2, 1] + [0] * (POWER_CEILING - 2)
+    for n_max in (POWER_CEILING + 1, 10**11):
+        start = time.monotonic()
+        code, out, err = invoke(["oracle", "-", "--n-max", str(n_max)],
+                                SHIFT_PAIR)
+        assert (code, out) == (2, "")
+        assert err.startswith("evolalg: InvalidParams:")
+        assert f"POWER_CEILING = {POWER_CEILING}" in err
+        assert time.monotonic() - start < 1.0
+
+
 def test_oracle_rejects_infinite_universe():
     code, out, err = invoke(["oracle", "--family", "markov_line"])
     assert (code, out) == (2, "")
@@ -302,7 +317,13 @@ def test_validation_errors_exit_2():
 
 
 def test_windows_past_the_ceiling_exit_2_at_once():
-    for argv in (["triangularize", "--family", "comb", "--window", "30000000"],
+    # a cutoff is the window a product reads lazy rows up to
+    apply = ["apply", "--family", "markov_line", "--op", "omega",
+             "--vector", '{"1": 1}', "--cutoff"]
+    for argv in (apply + ["100000000"], apply + [str(WINDOW_CEILING + 1)],
+                 ["power", "--family", "markov_line", "--element", '{"1": 1}',
+                  "-n", "2", "--cutoff", "100000000"],
+                 ["triangularize", "--family", "comb", "--window", "30000000"],
                  ["export-dot", "--family", "comb",
                   "--window", str(WINDOW_CEILING + 1)],
                  ["bounds", "--family", "comb", "--frobenius",
@@ -312,6 +333,7 @@ def test_windows_past_the_ceiling_exit_2_at_once():
         start = time.monotonic()
         code, out, err = invoke(argv)
         assert (code, out) == (2, ""), argv
+        assert err.startswith("evolalg: InvalidParams:"), err
         assert f"WINDOW_CEILING = {WINDOW_CEILING}" in err
         assert time.monotonic() - start < 1.0
     # a finite universe clips the window to its own size instead
@@ -319,6 +341,11 @@ def test_windows_past_the_ceiling_exit_2_at_once():
                        TWO_CYCLE)
     assert code == 0
     assert rep["result"]["type"] == "CycleFound"
+    code, rep = report(["power", "-", "--element", '{"1": 1}', "-n", "2",
+                        "--cutoff", "100000000"], TWO_CYCLE)
+    assert code == 0
+    code, rep = report(apply + [str(WINDOW_CEILING)])
+    assert code == 0 and rep["result"]["image"]["cutoff"] == WINDOW_CEILING
 
 
 def test_values_past_the_digit_limit_exit_2():
@@ -604,6 +631,9 @@ def test_spec_refusals(argv, stdin, error):
     ('[["1", 1]]', "exact", "ParseError"),
     ("[[true, 1]]", "exact", "ParseError"),
     ("[[1, 1], [1, 2]]", "exact", "ValidationError"),
+    ("[[0, 1]]", "exact", "ValidationError"),
+    ('{"0": 1}', "exact", "ValidationError"),
+    ('{"-3": 1}', "float", "ValidationError"),
     ('{"1": 1, "01": 2}', "exact", "ValidationError"),
     ('{"1": 0.5}', "exact", "ParseError"),
     ('{"1": "x"}', "exact", "ParseError"),

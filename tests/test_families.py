@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from evolalg import (
-    DepthExact,
     FamilySpec,
     build_family,
     comb_hub,
     comb_vertex_kind,
     cycle_search,
-    depth,
+    descendants_generation,
     growing_teeth_depth,
     growing_teeth_hub,
     growing_teeth_tooth,
@@ -247,14 +246,20 @@ def test_cyclic_families_expose_a_cycle(name):
 
 
 def test_depth_oracles_match_search_where_exact():
-    comb = build_family("comb")
-    gt = build_family("growing_teeth")
-    for i in range(1, 21):
-        assert depth(comb, i, 12) == DepthExact(comb.meta.rank(i))
-        assert depth(gt, i, 24) == DepthExact(gt.meta.rank(i))
+    """A finite rank r is the last generation that is not empty: D^r(i) has
+    members and D^(r+1)(i) has none.  An infinite one never empties."""
+    def generation(s, i, m):
+        g = descendants_generation(s, [i], m, 10**6)
+        assert not g.truncated
+        return g.members
+
+    for s in (build_family("comb"), build_family("growing_teeth")):
+        for i in range(1, 21):
+            r = s.meta.rank(i)
+            assert generation(s, i, r) and not generation(s, i, r + 1)
     hub = build_family("hub_line")
     for i in range(2, 12):
-        assert depth(hub, i, 12) == DepthExact(1)
+        assert hub.meta.rank(i) == INFINITE and generation(hub, i, 12)
     assert build_family("markov_line").meta.rank(2) == INFINITE
     assert build_family("rary_tree").meta.rank(17) == INFINITE
 

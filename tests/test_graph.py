@@ -1,5 +1,6 @@
-"""Graph layer: rows, budgeted traversals, depth, cycles, degrees, DOT."""
+"""Graph layer: rows, budgeted traversals, cycles, degrees, DOT."""
 import math
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -9,15 +10,12 @@ from hypothesis import given, settings
 from evolalg import (
     DegreeAtLeastCap,
     DegreeExact,
-    DepthAtLeast,
-    DepthExact,
     EvolutionStructure,
     FiniteRow,
     LazyRow,
     build_family,
     cycle_search,
     degree,
-    depth,
     descendants_generation,
     export_window_dot,
     path_is_valid,
@@ -99,7 +97,6 @@ def test_finite_and_lazy_rows_answer_alike():
     assert lazy.tail_abs(4) is None
     assert finite.prefix(cutoff=4) == (entries, True)
     assert lazy.prefix(cutoff=4) == ([(2, EX_ONE)], False)
-    assert lazy.prefix(probe=1) == ([(2, EX_ONE)], False)
 
 
 def test_comb_generations_frozen():
@@ -109,7 +106,6 @@ def test_comb_generations_frozen():
     assert not g1.truncated
     g2 = descendants_generation(comb, [2], 2, 100)
     assert sorted(g2.members) == [4]
-    assert g2.first_hit == {1: 1, 3: 1, 5: 1, 4: 2}
     g3 = descendants_generation(comb, [2], 3, 100)
     assert g3.members == frozenset()
 
@@ -119,6 +115,21 @@ def test_generation_truncation_is_a_subset():
     g = descendants_generation(mk, [1], 1, 3)
     assert g.truncated
     assert sorted(g.members) == [2, 3, 4]
+
+
+def test_generation_stops_at_the_first_empty_one():
+    # vertex 2 of growing_teeth has rank 1: D^2(2) is empty, and so is every
+    # later generation, which must not cost a step each
+    gt = build_family("growing_teeth")
+    start = time.perf_counter()
+    g = descendants_generation(gt, [2], 10**9, 1000)
+    assert time.perf_counter() - start < 1.0
+    assert g.members == frozenset() and not g.truncated
+    assert g.generation == 10**9
+    # a run cut short by its budget stops one generation later
+    mk = build_family("markov_line")
+    g = descendants_generation(mk, [1], 10**9, 3)
+    assert g.truncated and g.members == frozenset()
 
 
 def test_generation_budget_zero():
@@ -148,38 +159,6 @@ def test_generation_composition_on_finite(seed, m, data):
     # any budgeted run yields a subset
     small = descendants_generation(s, [start], m, 2)
     assert small.members <= g.members
-    # first_hit is the BFS distance from the start
-    for v, d in g.first_hit.items():
-        assert 1 <= d <= m
-        assert v in descendants_generation(s, [start], d, big).members
-        for earlier in range(1, d):
-            assert v not in descendants_generation(s, [start], earlier, big).members
-
-
-def test_depth_frozen_values():
-    comb = build_family("comb")
-    assert depth(comb, 2, 8) == DepthExact(2)
-    assert depth(comb, 1, 5) == DepthExact(0)  # sinks have depth 0
-    assert depth(comb, 3, 5) == DepthExact(1)
-    # budget-starved: frontier still alive after 2 levels
-    assert depth(comb, 2, 2) == DepthAtLeast(2)
-
-
-def test_depth_atleast_is_a_path_length_not_an_eccentricity():
-    # vertex 1 of the markov line has every descendant at distance 1 (the
-    # first row touches all of them), yet bounded search keeps finding longer
-    # and longer paths through the chain: AtLeast reports path evidence only.
-    mk = build_family("markov_line")
-    assert depth(mk, 2, 10) == DepthAtLeast(10)
-    assert depth(mk, 1, 5) == DepthAtLeast(5)
-
-
-def test_depth_oracle_shortcircuits_infinite():
-    # depth reads no family metadata: an infinite ray gives only a lower bound
-    mk = build_family("markov_line")
-    assert depth(mk, 2, 10) == DepthAtLeast(10)
-    with pytest.raises(InvalidParams):
-        depth(mk, 2, 0)
 
 
 def test_cycle_search_results():
@@ -261,13 +240,6 @@ def test_vertex_bounds_checked():
         two.row_of(3)
     with pytest.raises(InvalidParams):
         two.row_of(0)
-
-
-def test_depth_reads_wide_finite_rows_in_full():
-    # 198 entries exceed the lazy-row cap of 64 + 4*budget
-    wide = FiniteRow(tuple((k, EX_ONE) for k in range(2, 200)))
-    s = EvolutionStructure("exact", lambda i: wide if i == 1 else FiniteRow(()))
-    assert depth(s, 1, budget=3) == DepthExact(1)
 
 
 def test_float_path_is_valid_uses_tol():

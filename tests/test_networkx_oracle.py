@@ -4,7 +4,8 @@ code with evolalg's graph layer: the verdict must match
 ``nx.dag_longest_path_length + 2``.  A cycle witness must be a closed walk of
 networkx's graph.  On an infinite structure without family metadata, the
 long-path evidence of a completed search must be as long as networkx's
-longest path in the window."""
+longest path in the window.  Rank witnesses built from networkx's
+longest-path lengths must validate, and overstate no rank."""
 import random
 
 import pytest
@@ -19,11 +20,12 @@ from evolalg import (  # noqa: E402  (after the importorskip guard)
     IndexExact,
     IndexInfinite,
     LongPath,
+    UnboundedDepthSequence,
     classify,
     random_finite_structure,
     validate_witness,
 )
-from evolalg.nilpotency import CLASSIFY_WINDOW_CAP  # noqa: E402
+from evolalg.graph import WINDOW_CEILING  # noqa: E402
 
 WEIGHTS = ("1", "-1/2", "3", "2/3")
 
@@ -98,6 +100,32 @@ def test_long_path_and_its_closed_cycle():
     assert len(classify(s).nil.witness.path) == n + 1
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_witnesses_against_networkx(seed):
+    """On a random DAG the rank of v is networkx's longest path among v and
+    its descendants.  One vertex per even rank makes a witness whose ranks
+    leave a gap, so raising any one of them by 1 keeps them increasing and
+    must fail on D^(r+1)(v) being empty."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 40)
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    edges = {(order[p], order[q]) for p in range(n) for q in range(p + 1, n)
+             if rng.random() < 0.15}
+    s, g = structure_and_graph(n, edges, rng)
+    by_rank = {}
+    for v in range(1, n + 1):
+        sub = g.subgraph(nx.descendants(g, v) | {v})
+        by_rank.setdefault(nx.dag_longest_path_length(sub), []).append(v)
+    pairs = [(rng.choice(by_rank[r]), r) for r in sorted(by_rank) if r % 2 == 0]
+    if len(pairs) < 2:
+        return
+    assert validate_witness(s, UnboundedDepthSequence(tuple(pairs)))
+    for j, (v, r) in enumerate(pairs):
+        raised = pairs[:j] + [(v, r + 1)] + pairs[j + 1:]
+        assert not validate_witness(s, UnboundedDepthSequence(tuple(raised)))
+
+
 def forward_structure(steps_of):
     """Infinite, metadata-free structure whose row i targets i + d for each
     d in steps_of(i); every edge points forward, so no window has a cycle."""
@@ -122,7 +150,7 @@ def test_long_path_evidence_against_networkx(steps_of):
         assert isinstance(evidence, LongPath)
         assert validate_witness(s, evidence)
         assert r.index == IndexAtLeast(len(evidence.path) + 1)
-        window = min(budget + 8, CLASSIFY_WINDOW_CAP)
+        window = min(budget + 8, WINDOW_CEILING)
         if "completed" not in r.nil.reason:
             continue
         g = nx.DiGraph()

@@ -25,6 +25,7 @@ from evolalg import (
     build_family,
     classify,
     cycle_search,
+    descendants_generation,
     nilpotency_index,
     permutation_is_strictly_lower,
     random_finite_structure,
@@ -174,12 +175,33 @@ def test_tampered_witnesses_rejected():
     assert not validate_witness(mk, RayPrefix((2, 2, 3)))      # repeated vertex
     assert not validate_witness(gt, UnboundedDepthSequence(((2, 1), (5, 1))))
     assert not validate_witness(gt, UnboundedDepthSequence(((2, 2), (5, 3))))
+    # vertex 5 has rank 2: D^3(5) is empty, so the check stops there
+    assert not validate_witness(gt, UnboundedDepthSequence(((2, 1), (5, 10**9))))
     assert not validate_witness(build_family("comb"), CycleWitness((2, 3, 2)))
     assert not validate_witness(two_cycle(), CycleWitness((1, 2)))  # not closed
     assert not validate_witness(two_cycle(), CycleWitness((1, 1)))  # no loop
     assert validate_witness(two_cycle(), CycleWitness((1, 2, 1)))
     assert validate_witness(mk, LongPath((2, 3, 4)))
     assert not validate_witness(mk, LongPath((2, 4)))
+
+
+def test_rank_witness_is_a_walk_length_not_a_bfs_distance():
+    # 1 -> {2, 3}, 2 -> 3: every descendant of 1 is one edge away, yet the
+    # walk 1 -> 2 -> 3 gives D^2(1) = {3}, so vertex 1 has rank 2, not 3
+    s = EvolutionStructure.from_rows({1: [(2, 1), (3, 1)], 2: [(3, 1)]}, 3)
+    assert validate_witness(s, UnboundedDepthSequence(((2, 1), (1, 2))))
+    assert not validate_witness(s, UnboundedDepthSequence(((2, 1), (1, 3))))
+
+
+@pytest.mark.parametrize("budget", [64, 256, 4096])
+def test_growing_teeth_witnesses_validate(budget):
+    gt = build_family("growing_teeth")
+    w = classify(gt, budget).nilpotent.witness
+    assert isinstance(w, UnboundedDepthSequence)
+    assert validate_witness(build_family("growing_teeth"), w)
+    # each claim is sharp: one more generation from the same vertex is empty
+    for v, r in w.pairs:
+        assert not descendants_generation(gt, [v], r + 1, 10**6).members
 
 
 def test_triangularize_frozen():

@@ -1,0 +1,43 @@
+"""The runtime needs only the standard library: every module of the package
+imports nothing but standard-library modules and the package itself."""
+import ast
+import sys
+from pathlib import Path
+
+import evolalg
+
+PACKAGE = Path(evolalg.__file__).parent
+
+
+def imports_outside_stdlib(path):
+    """`file:line module` for each absolute import in `path` whose top-level
+    name is neither in the standard library nor the package."""
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue  # not an import, or a relative one (the package)
+        for name in names:
+            top = name.split(".")[0]
+            if top != "evolalg" and top not in sys.stdlib_module_names:
+                outside.append(f"{path.name}:{node.lineno} {name}")
+    return outside
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert PACKAGE / "graph.py" in modules
+    assert [hit for path in modules for hit in imports_outside_stdlib(path)] \
+        == []
+
+
+def test_the_guard_sees_third_party_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import json\nimport networkx.algorithms\n"
+                     "from sympy import Rational\nfrom . import graph\n"
+                     "from evolalg.graph import INFINITE\n")
+    assert imports_outside_stdlib(probe) == [
+        "probe.py:2 networkx.algorithms", "probe.py:3 sympy"]
