@@ -92,7 +92,8 @@ class FiniteRow:
             return targets, True, count
         return targets[:count], False, count + 1
 
-    def prefix(self, cutoff: Optional[int] = None) -> Tuple[Sequence[Entry], bool]:
+    def prefix(self, cutoff: Optional[int] = None
+               ) -> Tuple[Sequence[Entry], bool]:
         """Every entry, whatever the cutoff; always exhausted."""
         return self.entries, True
 
@@ -175,7 +176,8 @@ class LazyRow:
         entries, exhausted, enumerated = self.upto(max_vertex)
         return tuple(k for k, _w in entries), exhausted, enumerated
 
-    def prefix(self, cutoff: Optional[int] = None) -> Tuple[Sequence[Entry], bool]:
+    def prefix(self, cutoff: Optional[int] = None
+               ) -> Tuple[Sequence[Entry], bool]:
         """Entries with target <= cutoff, or the first LAZY_ROW_PROBE entries
         when there is no cutoff, and whether they exhaust the row."""
         if cutoff is None:
@@ -437,9 +439,9 @@ def descendants_generation(s: EvolutionStructure, vertices: Iterable[int],
         for v in sorted(current):
             for k, _w in s.row_of(v):
                 if not left:
-                    # out of budget: whatever was collected stays a subset of
-                    # the true generation, and later generations of a subset
-                    # are subsets too, so the next generation is empty
+                    # out of budget: what was collected stays a subset of
+                    # the true generation, and so do the later ones; with
+                    # nothing left to enumerate, the next one is empty
                     truncated = True
                     break
                 left -= 1

@@ -25,8 +25,9 @@ Errors: ParseError for a value that cannot be read (text that is not JSON,
 a row that is not a list, a bool or a float in exact mode as a weight);
 ValidationError for a value that reads but breaks a rule (a zero weight, a
 float weight that is not finite, a target out of order or outside the
-universe, a vertex given twice, an element vertex id below 1); InvalidParams for a bad ``n``,
-``universe``, ``mode`` or ``tol`` and for an unknown key.
+universe, a vertex given twice, an element vertex id below 1);
+InvalidParams for a bad ``n``, ``universe``, ``mode`` or ``tol`` and for an
+unknown key.
 """
 from __future__ import annotations
 
