@@ -384,20 +384,6 @@ class EvolutionStructure:
 
 # -- budgeted traversals ----------------------------------------------------
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, n: int):
-        self.left = n
-
-    def take(self, k: int = 1) -> bool:
-        if self.left < k:
-            self.left = 0
-            return False
-        self.left -= k
-        return True
-
-
 @dataclass(frozen=True)
 class GenerationResult:
     generation: int
@@ -476,7 +462,7 @@ def window_dfs(s: EvolutionStructure, window: int, budget: int):
     the interpreter stack.
     """
     top = s.window_top(window)
-    bud = _Budget(max(budget, 0))
+    left = budget
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * (top + 1)
     parent: dict[int, int] = {}
@@ -484,9 +470,12 @@ def window_dfs(s: EvolutionStructure, window: int, budget: int):
     finished: list[int] = []
 
     def read(v):
+        nonlocal left
         targets, _, enumerated = s.row_of(v).targets_upto(top)
-        if not bud.take(max(enumerated, 1)):
-            return None
+        used = max(enumerated, 1)
+        if used > left:
+            return None  # the search stops at the first refused read
+        left -= used
         adjacency[v] = targets
         return targets
 
