@@ -91,7 +91,6 @@ from .nilpotency import (
     Verdict,
     brute_force_nilpotent,
     classify,
-    nilpotency_index,
     permutation_is_strictly_lower,
     triangularize_window,
     validate_witness,

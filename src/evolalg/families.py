@@ -151,7 +151,7 @@ def _build_markov_line(params: dict) -> EvolutionStructure:
     _check_keys("markov_line", params, frozenset({"ratio"}))
     try:
         q = Fraction(params.get("ratio", Fraction(1, 2)))
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise InvalidParams(f"markov_line ratio is not a rational: {e}") from e
     if not 0 < q < 1:
         raise InvalidParams("markov_line ratio must satisfy 0 < ratio < 1")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -47,17 +47,22 @@ WINDOW_CEILING = 4096
 # state for every vertex, so a larger n is refused before anything is built.
 UNIVERSE_CEILING = 1 << 20
 
+# Weights of exactly these types are literals that from_rows reads once.
+_LITERALS = (str, int)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class FiniteRow:
     """Fully materialised row; entries strictly increasing by target.
 
     It shares its reading methods with :class:`LazyRow`; each returns what
     the lazy row would return once materialised in full.  The targets are
-    checked and kept as an int tuple once, when the row is built.
+    checked and kept as an int tuple once, when the row is built; they take
+    no part in equality, hashing or repr.
     """
 
     entries: Tuple[Entry, ...]
+    _targets: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         targets = tuple([k for k, _w in self.entries])
@@ -322,10 +327,15 @@ class EvolutionStructure:
 
         ``n``, mode and tol are checked before any weight is read.  Each
         entry is then read once: its weight by :func:`as_scalar`, its target
-        order by :class:`FiniteRow`.  The column table is built on the
-        first ``column_of``.
+        order by :class:`FiniteRow`.  Each distinct weight literal (an int, a
+        string, or an ``[re, im]`` pair of those) is converted and checked
+        for zero once per call; later entries share its immutable scalar.
+        The column table is built on the first ``column_of``.
         """
         table: dict[int, FiniteRow] = {}
+        # literal -> its nonzero scalar; keyed by exact type only, since
+        # 1 == 1.0 == True == Fraction(1) while exact mode refuses 1.0 and True
+        scalars: dict = {}
         empty = FiniteRow(())
         columns: Optional[dict] = None
 
@@ -367,9 +377,24 @@ class EvolutionStructure:
                     k = e[0]
                     if type(k) is not int:
                         raise ParseError(f"target {k!r} is not an integer")
-                    w = as_scalar(e[1] if len(e) == 2 else e[1:], mode)
-                    if is_zero(w, tol):  # exact scalars ignore tol
-                        raise ValidationError(f"zero weight on edge to {k}")
+                    raw = e[1] if len(e) == 2 else e[1:]
+                    t = type(raw)
+                    if t in _LITERALS:
+                        key = raw
+                    elif ((t is list or t is tuple) and len(raw) == 2
+                          and type(raw[0]) in _LITERALS
+                          and type(raw[1]) in _LITERALS):
+                        key = (raw[0], raw[1])
+                    else:
+                        key = None  # never stored, so get() misses
+                    w = scalars.get(key)
+                    if w is None:
+                        w = as_scalar(raw, mode)
+                        if is_zero(w, tol):  # exact scalars ignore tol
+                            raise ValidationError(
+                                f"zero weight on edge to {k}")
+                        if key is not None:
+                            scalars[key] = w
                     converted.append((k, w))
                 table[i] = FiniteRow(tuple(converted))
                 if converted and converted[-1][0] > n:  # the largest target
@@ -402,6 +427,14 @@ def descendants_generation(s: EvolutionStructure, vertices: Iterable[int],
     recursion stops at the first empty generation, which comes one step
     past the largest rank in U or past the step that spent the budget,
     however large m is.
+
+    Each generation is a function of the one before, so once one repeats,
+    the rest repeat with the same period and the same entry count per
+    period.  Brent's cycle detection (Brent 1980) finds such a repeat
+    keeping one earlier generation, and the recursion then skips every
+    whole period the budget pays for, so a cyclic U costs O(rank + period)
+    steps, not m.  Truncation happens exactly where the step-by-step
+    recursion would hit it.
     """
     U = sorted(set(vertices))
     for v in U:
@@ -418,9 +451,11 @@ def descendants_generation(s: EvolutionStructure, vertices: Iterable[int],
     left = budget
     truncated = False
     current = set(U)
-    for _ in range(m):
-        if not current:
-            break
+    # Brent: `saved` is generation `saved_at`, taken with `saved_left` budget
+    # left; it moves up to the current one whenever the gap reaches `power`
+    saved, saved_at, saved_left, power = current, 0, left, 1
+    step = 0
+    while step < m and current:
         nxt: set[int] = set()
         for v in sorted(current):
             for k, _w in s.row_of(v):
@@ -433,6 +468,18 @@ def descendants_generation(s: EvolutionStructure, vertices: Iterable[int],
                 left -= 1
                 nxt.add(k)
         current = nxt
+        step += 1
+        if truncated:
+            continue  # a cut generation is no function of the one before
+        if current == saved:
+            # a nonempty repeat: each of its steps read at least one entry
+            period, cost = step - saved_at, saved_left - left
+            skip = min((m - step) // period, left // cost)
+            step += skip * period
+            left -= skip * cost
+            saved_at, saved_left = step, left
+        elif step - saved_at == power:
+            saved, saved_at, saved_left, power = current, step, left, 2 * power
     return GenerationResult(m, frozenset(current), truncated)
 
 

@@ -308,14 +308,6 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
                             tuple(notes))
 
 
-def nilpotency_index(s: EvolutionStructure, budget: int = 64):
-    """The index of right nilpotency as far as the budget lets us see.
-
-    Delegates to :func:`classify`, so the two can never disagree.
-    """
-    return classify(s, budget).index
-
-
 # -- window triangularisation ------------------------------------------------
 
 

@@ -9,7 +9,9 @@ inf, string, list, object), both size keys are given, or a stray key is
 added.  The spec goes to one report command in process, on stdin or as
 ``--family finite_explicit`` params.  Every run must end with a documented
 exit code, and a printed report must be strict JSON: no ``NaN`` or
-``Infinity``.  Both spellings of one spec must end alike.
+``Infinity``.  Both spellings of one spec must end alike.  Family params get
+the same check: ``analyze`` on every family, with thirteen bad values per
+param key and with one stray key.
 """
 import contextlib
 import io
@@ -20,6 +22,7 @@ import sys
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
+from evolalg import list_families
 from evolalg.cli import run
 
 COMMANDS = (
@@ -105,3 +108,31 @@ def test_no_weight_makes_the_cli_raise(spec, command):
     family = [command[0], "--family", "finite_explicit", "--params", text,
               *command[1:]]
     assert _run([command[0], "-", *command[1:]], text) == _run(family, "")
+
+
+# Thirteen values that are wrong for most family params: JSON's every kind,
+# the float edge cases, huge and negative numbers, and near-miss strings.
+BAD_PARAMS = (None, True, -1, 0, 10**30, 0.5, math.nan, -math.inf, "",
+              "1/0", "finite:", [1, 2], {"a": 1})
+FAMILY_PARAMS = {
+    "rary_tree": ({}, ("r", "weights")),
+    "markov_line": ({}, ("ratio",)),
+    "hub_line": ({}, ("alpha",)),
+    "finite_explicit": ({"rows": {"1": [[2, "1"]]}, "n": 2},
+                        ("rows", "n", "universe", "mode", "tol")),
+}
+
+
+def test_no_family_param_makes_analyze_raise():
+    for family in list_families():
+        base, keys = FAMILY_PARAMS.get(family, ({}, ()))
+        cases = [{**base, "stray": 1}]
+        for key in keys:
+            for value in BAD_PARAMS:
+                params = {k: v for k, v in base.items()
+                          if not (key == "universe" and k == "n")}
+                cases.append({**params, key: value})
+        for params in cases:
+            # _run asserts the exit code and that stdout is strict JSON
+            _run(["analyze", "--family", family, "--params",
+                  json.dumps(params)], "")

@@ -21,15 +21,18 @@ from evolalg import (
     path_is_valid,
     random_finite_structure,
 )
+from evolalg import graph
 from evolalg.errors import (
     BudgetZero,
     InvalidParams,
     NoColumnAccess,
     NoTailBound,
+    ParseError,
     ValidationError,
 )
 from evolalg.graph import UNIVERSE_CEILING
-from evolalg.scalars import EX_ONE, ExactScalar
+from evolalg.scalars import EX_ONE, ExactScalar, as_scalar
+from evolalg.serialize import parse_structure
 
 
 def test_finite_row_rejects_bad_targets():
@@ -140,25 +143,74 @@ def test_generation_budget_zero():
     assert g.members == frozenset()
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 999), m=st.integers(1, 4), data=st.data())
-def test_generation_composition_on_finite(seed, m, data):
-    s = random_finite_structure(seed)
-    start = data.draw(st.integers(1, s.universe))
-    big = 10**6
-    g = descendants_generation(s, [start], m, big)
-    assert not g.truncated
-    # D^{m} = D(D^{m-1}), computed independently step by step
-    cur = {start}
+def _plain_generation(s, vertices, m, budget):
+    """D^m(U) one generation at a time, with the budget spent as
+    descendants_generation spends it: (members, truncated)."""
+    left, truncated, current = budget, False, set(vertices)
     for _ in range(m):
+        if not current:
+            break
         nxt = set()
-        for v in cur:
-            nxt.update(k for k, _ in s.row_of(v).entries)
-        cur = nxt
-    assert g.members == frozenset(cur)
-    # any budgeted run yields a subset
-    small = descendants_generation(s, [start], m, 2)
+        for v in sorted(current):
+            for k, _w in s.row_of(v):
+                if not left:
+                    truncated = True
+                    break
+                left -= 1
+                nxt.add(k)
+        current = nxt
+    return frozenset(current), truncated
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2999), m=st.integers(1, 40),
+       budget=st.integers(1, 200), data=st.data())
+def test_generation_composition_on_finite(seed, m, budget, data):
+    # random structures are small and often cyclic, so generations repeat
+    # and the periods they skip must give what D^m = D(D^{m-1}) gives
+    s = random_finite_structure(seed)
+    U = data.draw(st.sets(st.integers(1, s.universe), min_size=1))
+    g = descendants_generation(s, U, m, 10**6)
+    assert not g.truncated
+    assert (g.members, False) == _plain_generation(s, U, m, 10**6)
+    # a budgeted run is cut where the plain loop is, and yields a subset
+    small = descendants_generation(s, U, m, budget)
+    assert (small.members, small.truncated) == \
+        _plain_generation(s, U, m, budget)
     assert small.members <= g.members
+
+
+def _cap_row_reads(s, cap=100):
+    """Make ``s.row_of`` fail after `cap` calls, so that a recursion which
+    walks every one of 10^9 generations fails at once instead of running
+    for hours."""
+    reads = 0
+    row_of = s.row_of
+
+    def capped(i):
+        nonlocal reads
+        reads += 1
+        assert reads <= cap, "a row read for every generation"
+        return row_of(i)
+
+    s.row_of = capped
+    return s
+
+
+def test_generation_of_a_cycle_skips_its_periods():
+    two = _cap_row_reads(
+        EvolutionStructure.from_rows({1: [(2, 1)], 2: [(1, 1)]}, 2))
+    hub = _cap_row_reads(build_family("hub_line"))  # 3 -> {2, 3} forever
+    start = time.perf_counter()
+    assert descendants_generation(two, [1], 10**9, 10**12).members == {1}
+    assert descendants_generation(two, [1], 10**9 + 1, 10**12).members == {2}
+    assert descendants_generation(hub, [3], 10**9, 10**12).members == {2, 3}
+    assert time.perf_counter() - start < 0.1
+    # a budget that runs out inside the skipped periods still truncates
+    g = descendants_generation(two, [1], 10**9, 10**6)
+    assert g.truncated and g.members == frozenset()
+    g = descendants_generation(two, [1], 10**6, 10**6)
+    assert not g.truncated and g.members == {1}
 
 
 def test_cycle_search_results():
@@ -208,6 +260,65 @@ def test_from_rows_validation():
         EvolutionStructure.from_rows({1: [(2, 0)]}, 3)
     with pytest.raises(ValidationError):
         EvolutionStructure.from_rows({1: [(3, 1), (2, 1)]}, 3)
+
+
+def _count_as_scalar(monkeypatch):
+    calls = []
+
+    def counted(value, mode):
+        calls.append(value)
+        return as_scalar(value, mode)
+
+    monkeypatch.setattr(graph, "as_scalar", counted)
+    return calls
+
+
+def test_from_rows_reads_each_literal_once(monkeypatch):
+    literals = ["1", "-1/2", "3/7", "1/3+1/2*sqrt2", "5", "-2/9", "7/4"]
+    n = 2000
+    rows = {str(i): [[i + 1, literals[i % 7]], [i + 2, literals[i * i % 7]]]
+            for i in range(1, n - 1)}
+    calls = _count_as_scalar(monkeypatch)
+    s = EvolutionStructure.from_rows(rows, n)
+    assert sorted(calls) == sorted(literals)
+    # every entry holds the scalar as_scalar gives its literal
+    for i in (1, 2, 777, n - 2):
+        assert s.row_of(i).entries == tuple(
+            (t, as_scalar(w, "exact")) for t, w in rows[str(i)])
+    # ints, strings and [re, im] pairs in either spelling are literals,
+    # and an int is not its string
+    calls.clear()
+    s = EvolutionStructure.from_rows(
+        {1: [[2, 1], [3, "1"], [4, ["0", 1]]], 2: [[3, 1], [4, "1", 1]],
+         3: [[4, "0", 1]]}, 4)
+    assert calls == [1, "1", ["0", 1], ["1", 1]]
+    assert s.row_of(2).entries == ((3, EX_ONE), (4, ExactScalar(1, 1)))
+    assert s.row_of(3).entries == ((4, ExactScalar(0, 1)),)
+    # other weights are converted entry by entry
+    calls.clear()
+    EvolutionStructure.from_rows(
+        {i: [(i + 1, Fraction(1, 2))] for i in range(1, n)}, n)
+    assert len(calls) == n - 1
+
+
+def test_interned_literals_keep_their_refusals():
+    # 1.0 and True equal 1 and hash alike, yet exact mode refuses them
+    for bad in ("1.0", "true"):
+        with pytest.raises(ParseError, match="^row 2: "):
+            parse_structure(
+                f'{{"n": 3, "rows": {{"1": [[2, 1]], "2": [[3, {bad}]]}}}}')
+    # a repeated zero is refused in the first row that holds it
+    rows = {"3": [[1, "1"]], "1": [[2, "0"]], "2": [[3, "0"]]}
+    with pytest.raises(ValidationError, match="^row 1: zero weight on edge "
+                                              "to 2$"):
+        EvolutionStructure.from_rows(rows, 3)
+    # and so is a repeated literal within tol in float mode
+    rows = {"1": [[2, "1"], [3, "1/10000000000"]], "2": [[3, "1/10000000000"]]}
+    with pytest.raises(ValidationError, match="^row 1: zero weight on edge "
+                                              "to 3$"):
+        EvolutionStructure.from_rows(rows, 3, mode="float", tol=1e-9)
+    kept = EvolutionStructure.from_rows(rows, 3, mode="float", tol=1e-12)
+    assert kept.row_of(2).entries == ((3, 1e-10 + 0j),)
 
 
 def test_finite_universe_ceiling():

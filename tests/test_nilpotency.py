@@ -1,5 +1,6 @@
 """Classification, witnesses, triangularization, and the brute-force oracle."""
 import dataclasses
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -26,7 +27,6 @@ from evolalg import (
     classify,
     cycle_search,
     descendants_generation,
-    nilpotency_index,
     permutation_is_strictly_lower,
     random_finite_structure,
     triangularize_window,
@@ -193,6 +193,19 @@ def test_rank_witness_is_a_walk_length_not_a_bfs_distance():
     assert not validate_witness(s, UnboundedDepthSequence(((2, 1), (1, 3))))
 
 
+def test_rank_pairs_under_a_cycle_validate_at_once():
+    # a vertex whose descendants hold a cycle has every rank; the check
+    # skips the repeating generations instead of walking 10^9 of them.
+    # hub_line's vertex 1 has an infinite row, so its blocks stand in
+    cases = ((two_cycle(), 1), (build_family("hub_line"), 2),
+             (build_family("hub_line"), 3))
+    for s, v in cases:
+        start = time.perf_counter()
+        assert validate_witness(s, UnboundedDepthSequence(((v, 1),
+                                                           (v, 10**9))))
+        assert time.perf_counter() - start < 0.1
+
+
 @pytest.mark.parametrize("budget", [64, 256, 4096])
 def test_growing_teeth_witnesses_validate(budget):
     gt = build_family("growing_teeth")
@@ -235,12 +248,6 @@ def test_brute_force_frozen():
         BruteForceReport((2, 2, 2, 2), False, None)
     assert brute_force_nilpotent(shift_pair()) == \
         BruteForceReport((2, 1, 0, 0), True, 3)
-
-
-def test_index_delegates_to_classify():
-    for s in (build_family("comb"), two_cycle(), shift_pair(),
-              build_family("markov_line")):
-        assert nilpotency_index(s) == classify(s).index
 
 
 @settings(max_examples=120, deadline=None)
