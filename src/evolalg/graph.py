@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -51,18 +51,18 @@ UNIVERSE_CEILING = 1 << 20
 _LITERALS = (str, int)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FiniteRow:
     """Fully materialised row; entries strictly increasing by target.
 
     It shares its reading methods with :class:`LazyRow`; each returns what
     the lazy row would return once materialised in full.  The targets are
-    checked and kept as an int tuple once, when the row is built; they take
-    no part in equality, hashing or repr.
+    checked and kept as an int tuple once, when the row is built, in a slot
+    that is no dataclass field.
     """
 
+    __slots__ = ("entries", "_targets")
     entries: Tuple[Entry, ...]
-    _targets: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         targets = tuple([k for k, _w in self.entries])
@@ -74,6 +74,10 @@ class FiniteRow:
                     else "row entries must be strictly increasing")
             last = k
         object.__setattr__(self, "_targets", targets)
+
+    def __reduce__(self):
+        # copy and pickle would set the slots through the frozen __setattr__
+        return FiniteRow, (self.entries,)
 
     def __iter__(self) -> Iterator[Entry]:
         return iter(self.entries)
@@ -327,10 +331,10 @@ class EvolutionStructure:
 
         ``n``, mode and tol are checked before any weight is read.  Each
         entry is then read once: its weight by :func:`as_scalar`, its target
-        order by :class:`FiniteRow`.  Each distinct weight literal (an int, a
-        string, or an ``[re, im]`` pair of those) is converted and checked
-        for zero once per call; later entries share its immutable scalar.
-        The column table is built on the first ``column_of``.
+        order by :class:`FiniteRow`.  Each distinct weight literal (an int or
+        a string) is converted and checked for zero once per call; later
+        entries share its immutable scalar.  The column table is built on
+        the first ``column_of``.
         """
         table: dict[int, FiniteRow] = {}
         # literal -> its nonzero scalar; keyed by exact type only, since
@@ -378,15 +382,8 @@ class EvolutionStructure:
                     if type(k) is not int:
                         raise ParseError(f"target {k!r} is not an integer")
                     raw = e[1] if len(e) == 2 else e[1:]
-                    t = type(raw)
-                    if t in _LITERALS:
-                        key = raw
-                    elif ((t is list or t is tuple) and len(raw) == 2
-                          and type(raw[0]) in _LITERALS
-                          and type(raw[1]) in _LITERALS):
-                        key = (raw[0], raw[1])
-                    else:
-                        key = None  # never stored, so get() misses
+                    # None is never stored, so get() misses
+                    key = raw if type(raw) in _LITERALS else None
                     w = scalars.get(key)
                     if w is None:
                         w = as_scalar(raw, mode)
