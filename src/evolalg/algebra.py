@@ -52,6 +52,10 @@ class Element:
     def __setattr__(self, *_):
         raise AttributeError("Element is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would set the slot through the frozen __setattr__
+        return Element, (self.coeffs,)
+
     @classmethod
     def zero(cls) -> "Element":
         return cls({})

@@ -51,7 +51,7 @@ UNIVERSE_CEILING = 1 << 20
 _LITERALS = (str, int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteRow:
     """Fully materialised row; entries strictly increasing by target.
 
@@ -64,8 +64,9 @@ class FiniteRow:
     __slots__ = ("entries", "_targets")
     entries: Tuple[Entry, ...]
 
-    def __post_init__(self):
-        targets = tuple([k for k, _w in self.entries])
+    def __init__(self, entries: Tuple[Entry, ...]):
+        # written out, not generated: one call builds and checks a row
+        targets = tuple([k for k, _w in entries])
         last = 0
         for k in targets:
             if k <= last:  # last starts at 0, so this also catches k < 1
@@ -73,6 +74,7 @@ class FiniteRow:
                     f"vertex id {k} out of range" if k < 1
                     else "row entries must be strictly increasing")
             last = k
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_targets", targets)
 
     def __reduce__(self):

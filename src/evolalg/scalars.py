@@ -1,10 +1,16 @@
 """Scalar arithmetic for the two computation modes.
 
-Exact mode works in the field Q(sqrt2, i).  A scalar is re + im*i where each
-component is a ``Q2``: a rational pair (a, b) denoting a + b*sqrt2.  That is
-enough to represent every structural constant we need exactly, including the
-1/sqrt2 factors that appear after normalising a change of basis, and it is
-closed under +, -, *, /.
+Exact mode works in the field Q(sqrt2, i), on integers over one
+denominator.  An ``ExactScalar`` is (p + q*sqrt2 + (r + s*sqrt2)*i) / d and
+a ``Q2`` is (p + q*sqrt2) / d, with d > 0 and the gcd of all components 1,
+so every value has one form: ``==`` compares integers, and +, -, * are
+integer products plus one ``math.gcd``.  That is enough to represent every
+structural constant we need exactly, including the 1/sqrt2 factors that
+appear after normalising a change of basis, and it is closed under +, -, *,
+/.  The parts ``re``, ``im`` (each a ``Q2``) and ``a``, ``b`` (each a
+``Fraction``, for a + b*sqrt2) are read-only views built on demand.  Like
+``Fraction``, both classes are immutable by convention: the integer slots
+are private and nothing in the package assigns them after construction.
 
 Float mode uses the builtin ``complex`` (binary64 pairs).  Comparisons in
 float mode go through a caller-supplied tolerance; exact mode compares
@@ -17,9 +23,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 from .errors import InvalidParams, ParseError, ValidationError
@@ -30,59 +37,98 @@ _S2_SCALE = 10**30
 _S2_FLOOR = isqrt(2 * _S2_SCALE * _S2_SCALE)
 SQRT2_LO = Fraction(_S2_FLOOR, _S2_SCALE)
 SQRT2_HI = Fraction(_S2_FLOOR + 1, _S2_SCALE)
+_SQRT2_FLOAT = math.sqrt(2)
 
 _FracLike = Union[int, Fraction, str]
+_new = object.__new__
 
-# Shared zero component: most values are rational or real, so most Q2 and
-# ExactScalar components are zero, and a Fraction is immutable.
-_F0 = Fraction(0)
+# A decimal literal as ``Fraction`` reads it, with its exponent captured:
+# Fraction builds 10**exponent in full, so the exponent is checked first.
+# ``re`` compiles it on first use, so importing the package does not.
+_DECIMAL_EXPONENT = (
+    r"\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+    r"[eE]([-+]?\d+(?:_\d+)*)\s*")
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x) if x != 0 else _F0
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``; ParseError, before Fraction is called, for a
+    decimal exponent whose magnitude exceeds sys.get_int_max_str_digits()
+    (a value past that many digits could not be printed either).  A limit
+    of 0 turns the digit limit, and so this check, off."""
+    m = ("e" in text or "E" in text) and re.fullmatch(_DECIMAL_EXPONENT, text)
+    limit = sys.get_int_max_str_digits()
+    if m and limit:
+        try:
+            exponent = int(m[1])
+        except ValueError:  # more digits than int() reads: Fraction refuses
+            exponent = 0
+        if abs(exponent) > limit:
+            raise ParseError(
+                f"the exponent of {text!r} exceeds {limit} "
+                f"(sys.get_int_max_str_digits()) in magnitude")
+    return Fraction(text)
+
+
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of an int, a Fraction or a rational string."""
+    if isinstance(x, str):
+        x = _fraction(x)
+    if isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio()
     raise TypeError(f"not a rational value: {x!r}")
 
 
-def _plain_rational(s: str):
-    """``Fraction(s)`` for a plain ASCII "[-]digits[/digits]" literal with a
-    nonzero denominator; None for any other string, which ``Fraction(s)``
-    then reads (or refuses) itself."""
-    sign = -1 if s[:1] == "-" else 1
-    num, slash, den = (s[1:] if sign < 0 else s).partition("/")
-    if not (num.isascii() and num.isdigit()):
+def _sqrt_ratio(n: int, d: int):
+    """(sqrt(n'), sqrt(d')) for n/d = n'/d' in lowest terms (d > 0) when both
+    are squares, else None."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    if n < 0:
         return None
-    if not slash:
-        return Fraction(sign * int(num))
-    if not (den.isascii() and den.isdigit()):
-        return None
-    p, q = int(num), int(den)  # the order Fraction(s) converts them in
-    return Fraction(sign * p, q) if q else None
+    rn, rd = isqrt(n), isqrt(d)
+    return (rn, rd) if rn * rn == n and rd * rd == d else None
 
 
-def _frac_sqrt(x: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
+def _sign(p: int, q: int) -> int:
+    """The sign of p + q*sqrt2."""
+    if p >= 0 and q >= 0:
+        return 1 if p or q else 0
+    if p <= 0 and q <= 0:
+        return -1
+    # mixed signs: compare p^2 with 2 q^2
+    if p > 0:  # q < 0
+        return 1 if p * p > 2 * q * q else -1
+    return 1 if 2 * q * q > p * p else -1
+
+
+def _real_hash(p: int, q: int, d: int) -> int:
+    # a rational value hashes like the Fraction it equals
+    if q:
+        return hash((p, q, d))
+    return hash(p) if d == 1 else hash(Fraction(p, d))
 
 
 class Q2:
-    """Real number a + b*sqrt2 with rational a, b."""
+    """Real number (p + q*sqrt2) / d, read as a + b*sqrt2 with rational
+    a, b."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_p", "_q", "_d")
 
-    def __init__(self, a: _FracLike = _F0, b: _FracLike = _F0):
-        object.__setattr__(self, "a", a if type(a) is Fraction else _as_fraction(a))
-        object.__setattr__(self, "b", b if type(b) is Fraction else _as_fraction(b))
+    def __new__(cls, a: _FracLike = 0, b: _FracLike = 0):
+        p, da = _ratio(a)
+        q, db = _ratio(b)
+        return _q2(p * db, q * da, da * db)
 
-    def __setattr__(self, *_):
-        raise AttributeError("Q2 is immutable")
+    def __reduce__(self):
+        return _q2, (self._p, self._q, self._d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._d)
 
     # -- arithmetic ---------------------------------------------------------
     @staticmethod
@@ -97,7 +143,8 @@ class Q2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Q2(self.a + o.a, self.b + o.b)
+        d, e = self._d, o._d
+        return _q2(self._p * e + o._p * d, self._q * e + o._q * d, d * e)
 
     __radd__ = __add__
 
@@ -105,7 +152,8 @@ class Q2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Q2(self.a - o.a, self.b - o.b)
+        d, e = self._d, o._d
+        return _q2(self._p * e - o._p * d, self._q * e - o._q * d, d * e)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -114,25 +162,25 @@ class Q2:
         return o - self
 
     def __neg__(self):
-        return Q2(-self.a, -self.b)
+        return _q2(-self._p, -self._q, self._d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.b and not o.b:  # both rational: one product
-            return Q2(self.a * o.a)
-        return Q2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        p, q, p2, q2 = self._p, self._q, o._p, o._q
+        return _q2(p * p2 + 2 * q * q2, p * q2 + q * p2, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Q2":
-        # (a + b*sqrt2)^-1 = (a - b*sqrt2) / (a^2 - 2 b^2); the denominator
-        # vanishes only at zero because sqrt2 is irrational.
-        d = self.a * self.a - 2 * self.b * self.b
-        if d == 0:
+        # d / (p + q*sqrt2) = d (p - q*sqrt2) / (p^2 - 2 q^2); the norm
+        # p^2 - 2 q^2 vanishes only at zero because sqrt2 is irrational.
+        p, q, d = self._p, self._q, self._d
+        n = p * p - 2 * q * q
+        if n == 0:
             raise ZeroDivisionError("division by zero Q2")
-        return Q2(self.a / d, -self.b / d)
+        return _q2(d * p, -d * q, n) if n > 0 else _q2(-d * p, d * q, -n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -148,86 +196,85 @@ class Q2:
 
     # -- order and conversion ----------------------------------------------
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: compare a^2 with 2 b^2
-        if a > 0:  # b < 0
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if 2 * b * b > a * a else -1
+        return _sign(self._p, self._q)
+
+    def _cmp(self, other):
+        """The sign of self - other, or None for a value of another type."""
+        o = self._coerce(other)
+        if o is None:
+            return None
+        d, e = self._d, o._d
+        return _sign(self._p * e - o._p * d, self._q * e - o._q * d)
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self._p or self._q)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self._p == o._p and self._q == o._q and self._d == o._d
 
     def __hash__(self):
-        # a rational value hashes like the Fraction it equals
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+        return _real_hash(self._p, self._q, self._d)
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
 
     def upper(self) -> Fraction:
         """Rational upper bound."""
-        return self.a + self.b * (SQRT2_HI if self.b >= 0 else SQRT2_LO)
+        p, q, d = self._p, self._q, self._d
+        if not q:
+            return Fraction(p, d)
+        return Fraction(p * _S2_SCALE + q * (_S2_FLOOR + (q > 0)),
+                        d * _S2_SCALE)
 
     def lower(self) -> Fraction:
         """Rational lower bound."""
-        return self.a + self.b * (SQRT2_LO if self.b >= 0 else SQRT2_HI)
+        p, q, d = self._p, self._q, self._d
+        if not q:
+            return Fraction(p, d)
+        return Fraction(p * _S2_SCALE + q * (_S2_FLOOR + (q < 0)),
+                        d * _S2_SCALE)
 
     def sqrt(self):
         """Exact square root within Q2 if one exists, else None."""
         if self.sign() < 0:
             return None
-        if self.b == 0:
-            r = _frac_sqrt(self.a)
+        p, q, d = self._p, self._q, self._d
+        if not q:
+            r = _sqrt_ratio(p, d)
             if r is not None:
-                return Q2(r)
-            h = _frac_sqrt(self.a / 2)
-            if h is not None:
-                return Q2(0, h)
+                return _q2(r[0], 0, r[1])
+            h = _sqrt_ratio(p, 2 * d)  # p/d = 2 h^2: the root is h*sqrt2
+            return None if h is None else _q2(0, h[0], h[1])
+        # (x + y*sqrt2)^2 = x^2 + 2y^2 + 2xy*sqrt2, so x^2 = (p ± n) / 2d
+        # where n^2 = p^2 - 2q^2, and y = q / 2dx
+        n2 = p * p - 2 * q * q
+        n = isqrt(n2) if n2 >= 0 else -1
+        if n * n != n2:
             return None
-        # (p + q*sqrt2)^2 = p^2 + 2q^2 + 2pq*sqrt2
-        d = _frac_sqrt(self.a * self.a - 2 * self.b * self.b)
-        if d is None:
-            return None
-        for t in ((self.a + d) / 2, (self.a - d) / 2):
-            p = _frac_sqrt(t)
-            if p is not None and p != 0:
-                cand = Q2(p, self.b / (2 * p))
+        for t in (p + n, p - n):
+            r = _sqrt_ratio(t, 2 * d)
+            if r is not None and r[0]:
+                xn, xd = r
+                cand = _q2(2 * d * xn * xn, q * xd * xd, 2 * d * xn * xd)
                 if cand.sign() < 0:
                     cand = -cand
                 if cand * cand == self:
@@ -235,13 +282,25 @@ class Q2:
         return None
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(2)
+        # int / int rounds correctly, as float(Fraction(p, d)) does
+        return self._p / self._d + self._q / self._d * _SQRT2_FLOAT
 
     def __repr__(self):
         return f"Q2({self.a!r}, {self.b!r})"
 
     def __str__(self):
         return q2_str(self)
+
+
+def _q2(p: int, q: int, d: int) -> Q2:
+    """The Q2 (p + q*sqrt2) / d for d > 0, in lowest terms."""
+    g = gcd(p, q, d)
+    x = _new(Q2)
+    if g == 1:
+        x._p, x._q, x._d = p, q, d
+    else:
+        x._p, x._q, x._d = p // g, q // g, d // g
+    return x
 
 
 Q2_ZERO = Q2()
@@ -271,12 +330,30 @@ def q2_str(q: Q2) -> str:
     return f"{fraction_str(q.a)}{sep}{tail}"
 
 
+def _plain_rational(s: str):
+    """The Q2 of a plain ASCII "[-]digits[/digits]" literal with a nonzero
+    denominator; None for any other string, which ``Fraction(s)`` then reads
+    (or refuses) itself."""
+    sign = -1 if s[:1] == "-" else 1
+    num, slash, den = (s[1:] if sign < 0 else s).partition("/")
+    if not (num.isascii() and num.isdigit()):
+        return None
+    if not slash:
+        return _q2(sign * int(num), 0, 1)
+    if not (den.isascii() and den.isdigit()):
+        return None
+    p, q = int(num), int(den)  # the order Fraction(s) converts them in
+    return _q2(sign * p, 0, q) if q else None
+
+
 def q2_parse(text: str) -> Q2:
-    """Inverse of :func:`q2_str`; plain "p/q" strings are accepted."""
+    """Inverse of :func:`q2_str`; plain "p/q" strings are accepted.  A
+    decimal exponent past sys.get_int_max_str_digits() in magnitude is
+    refused with ParseError."""
     s = text.strip().replace(" ", "")
     if "sqrt2" not in s:
         q = _plain_rational(s)
-        return Q2(Fraction(s) if q is None else q)
+        return Q2(_fraction(s)) if q is None else q
     if s.endswith("sqrt2") and not s.endswith("*sqrt2"):
         # bare "sqrt2" / "-sqrt2" / "3+sqrt2": insert the implicit 1
         s = s[: -len("sqrt2")] + "1*sqrt2"
@@ -288,27 +365,44 @@ def q2_parse(text: str) -> Q2:
             head, coeff = body[:pos], body[pos:]
             if coeff in ("+", "-"):
                 coeff += "1"
-            return Q2(Fraction(head), Fraction(coeff))
+            return Q2(_fraction(head), _fraction(coeff))
     if body in ("", "+", "-"):
         body += "1"
-    return Q2(0, Fraction(body))
+    return Q2(0, _fraction(body))
 
 
 class ExactScalar:
-    """Complex scalar re + im*i with components in Q2."""
+    """Complex scalar (p + q*sqrt2 + (r + s*sqrt2)*i) / d; read as
+    re + im*i with components in Q2."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_p", "_q", "_r", "_s", "_d")
 
-    def __init__(self, re=Q2_ZERO, im=Q2_ZERO):
-        object.__setattr__(self, "re", re if isinstance(re, Q2) else Q2(re))
-        object.__setattr__(self, "im", im if isinstance(im, Q2) else Q2(im))
+    def __new__(cls, re=Q2_ZERO, im=Q2_ZERO):
+        if not isinstance(re, Q2):
+            re = Q2(re)
+        if not isinstance(im, Q2):
+            im = Q2(im)
+        d, e = re._d, im._d
+        return _ex(re._p * e, re._q * e, im._p * d, im._q * d, d * e)
 
-    def __setattr__(self, *_):
-        raise AttributeError("ExactScalar is immutable")
+    def __reduce__(self):
+        return _ex, (self._p, self._q, self._r, self._s, self._d)
 
     @classmethod
     def from_rational(cls, re: _FracLike, im: _FracLike = 0) -> "ExactScalar":
-        return cls(Q2(_as_fraction(re)), Q2(_as_fraction(im)))
+        p, d = _ratio(re)
+        if im == 0:
+            return _ex(p, 0, 0, 0, d)
+        r, e = _ratio(im)
+        return _ex(p * e, 0, r * d, 0, d * e)
+
+    @property
+    def re(self) -> Q2:
+        return _q2(self._p, self._q, self._d)
+
+    @property
+    def im(self) -> Q2:
+        return _q2(self._r, self._s, self._d)
 
     @staticmethod
     def _coerce(other):
@@ -319,18 +413,28 @@ class ExactScalar:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is ExactScalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactScalar(self.re + o.re, self.im + o.im)
+        d, e = self._d, o._d
+        if d == e:
+            return _ex(self._p + o._p, self._q + o._q, self._r + o._r,
+                       self._s + o._s, d)
+        return _ex(self._p * e + o._p * d, self._q * e + o._q * d,
+                   self._r * e + o._r * d, self._s * e + o._s * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is ExactScalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactScalar(self.re - o.re, self.im - o.im)
+        d, e = self._d, o._d
+        if d == e:
+            return _ex(self._p - o._p, self._q - o._q, self._r - o._r,
+                       self._s - o._s, d)
+        return _ex(self._p * e - o._p * d, self._q * e - o._q * d,
+                   self._r * e - o._r * d, self._s * e - o._s * d, d * e)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -339,58 +443,82 @@ class ExactScalar:
         return o - self
 
     def __neg__(self):
-        return ExactScalar(-self.re, -self.im)
+        return _ex(-self._p, -self._q, -self._r, -self._s, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is ExactScalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:  # both real: one product
-            return ExactScalar(self.re * o.re)
-        return ExactScalar(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        p, q, r, s = self._p, self._q, self._r, self._s
+        p2, q2, r2, s2 = o._p, o._q, o._r, o._s
+        if not (q or r or s):  # a rational factor scales the other
+            if not (q2 or r2 or s2):  # both rational: one product
+                return _ex(p * p2, 0, 0, 0, self._d * o._d)
+            return _ex(p * p2, p * q2, p * r2, p * s2, self._d * o._d)
+        if not (q2 or r2 or s2):
+            return _ex(p * p2, q * p2, r * p2, s * p2, self._d * o._d)
+        # (A + Bi)(C + Di) = AC - BD + (AD + BC)i with A = p + q*sqrt2,
+        # B = r + s*sqrt2, C = p2 + q2*sqrt2 and D = r2 + s2*sqrt2
+        return _ex(p * p2 + 2 * q * q2 - r * r2 - 2 * s * s2,
+                   p * q2 + q * p2 - r * s2 - s * r2,
+                   p * r2 + 2 * q * s2 + r * p2 + 2 * s * q2,
+                   p * s2 + q * r2 + r * q2 + s * p2,
+                   self._d * o._d)
 
     __rmul__ = __mul__
 
+    def _inverse(self) -> "ExactScalar":
+        p, q, r, s, d = self._p, self._q, self._r, self._s, self._d
+        if not (q or r or s):
+            if not p:
+                raise ZeroDivisionError("division by zero scalar")
+            return _ex(d, 0, 0, 0, p) if p > 0 else _ex(-d, 0, 0, 0, -p)
+        # 1/z = conj(z) / |z|^2 with d^2 |z|^2 = n0 + n1*sqrt2, whose norm
+        # m = n0^2 - 2 n1^2 is a sum of squares of conjugates, so m > 0
+        n0 = p * p + 2 * q * q + r * r + 2 * s * s
+        n1 = 2 * (p * q + r * s)
+        m = n0 * n0 - 2 * n1 * n1
+        return _ex(d * (p * n0 - 2 * q * n1), d * (q * n0 - p * n1),
+                   d * (2 * s * n1 - r * n0), d * (r * n1 - s * n0), m)
+
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is ExactScalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if not d:
-            raise ZeroDivisionError("division by zero scalar")
-        inv = d.inverse()
-        conj = ExactScalar(o.re, -o.im)
-        num = self * conj
-        return ExactScalar(num.re * inv, num.im * inv)
+        return self * o._inverse()
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im)
+        return _ex(self._p, self._q, -self._r, -self._s, self._d)
 
     def abs_sq(self) -> Q2:
-        return self.re * self.re + self.im * self.im
+        p, q, r, s = self._p, self._q, self._r, self._s
+        return _q2(p * p + 2 * q * q + r * r + 2 * s * s, 2 * (p * q + r * s),
+                   self._d * self._d)
 
     def abs_exact(self):
         """|self| as a Q2 when it lies in Q2 (it does for all family weights)."""
         return self.abs_sq().sqrt()
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._p or self._q or self._r or self._s)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is ExactScalar else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self._p == o._p and self._d == o._d and self._q == o._q
+                and self._r == o._r and self._s == o._s)
 
     def __hash__(self):
         # a real value hashes like the Q2 (and so the Fraction) it equals
-        return hash(self.re) if not self.im else hash((self.re, self.im))
+        if self._r or self._s:
+            return hash((self._p, self._q, self._r, self._s, self._d))
+        return _real_hash(self._p, self._q, self._d)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        d = self._d
+        return complex(self._p / d + self._q / d * _SQRT2_FLOAT,
+                       self._r / d + self._s / d * _SQRT2_FLOAT)
 
     def __repr__(self):
         return f"ExactScalar({self.re!r}, {self.im!r})"
@@ -399,10 +527,26 @@ class ExactScalar:
         return scalar_str(self)
 
 
+def _ex(p: int, q: int, r: int, s: int, d: int) -> ExactScalar:
+    """The ExactScalar (p + q*sqrt2 + (r + s*sqrt2)*i) / d for d > 0, in
+    lowest terms."""
+    g = gcd(p, q, r, s, d)
+    if g != 1:
+        p, q, r, s, d = p // g, q // g, r // g, s // g, d // g
+    x = _new(ExactScalar)
+    x._p = p
+    x._q = q
+    x._r = r
+    x._s = s
+    x._d = d
+    return x
+
+
 EX_ZERO = ExactScalar()
 EX_ONE = ExactScalar(1)
 EX_SQRT2 = ExactScalar(Q2_SQRT2)
 EX_INV_SQRT2 = ExactScalar(Q2(0, Fraction(1, 2)))  # 1/sqrt2 == sqrt2/2
+
 
 Scalar = Union[ExactScalar, complex]
 
@@ -412,7 +556,7 @@ def _real(x, exact: bool):
     t = type(x)
     try:
         if t is str:
-            return q2_parse(x) if exact else float(Fraction(x))
+            return q2_parse(x) if exact else float(_fraction(x))
         if t is int or t is Fraction:
             return Q2(x) if exact else float(x)
         if t is (Q2 if exact else float):

@@ -1,5 +1,7 @@
 """Element arithmetic, principal powers, nil search, bases, subspace chain."""
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -305,3 +307,15 @@ def test_float_subspace_chain_uses_tol():
     assert subspace_chain(float_structure(rows, 4), 4) == [4, 1, 0, 0]
     assert subspace_chain(float_structure(rows, 4, tol=1e-15), 4) == \
         [4, 2, 0, 0]
+
+
+def test_exact_rows_and_elements_survive_copy_and_pickle():
+    w = ExactScalar.from_rational(Fraction(-2, 9), 3)
+    row = FiniteRow(((2, EX_INV_SQRT2), (5, w)))
+    elem = Element({1: EX_ONE, 4: w * EX_INV_SQRT2})
+    for value in (row, elem):
+        for clone in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value)
+            assert clone == value and hash(clone) == hash(value)
+    assert pickle.loads(pickle.dumps(row)).upto(4) == row.upto(4)

@@ -3,9 +3,13 @@
 Expected values are computed by hand: (1+sqrt2)(1-sqrt2) = -1,
 1/(3+2*sqrt2) = 3-2*sqrt2, (1+sqrt2)^2 = 3+2*sqrt2, |3+4i| = 5.
 """
+import copy
 import math
+import pickle
 import sys
 from fractions import Fraction
+# the grammar Fraction(str) reads
+from fractions import _RATIONAL_FORMAT as FRACTION_GRAMMAR
 
 import hypothesis.strategies as st
 import pytest
@@ -94,8 +98,19 @@ def test_q2_parse_forms():
 def _outcome(parse, text):
     try:
         return parse(text)
+    except ParseError:
+        return ParseError
     except (ValueError, ZeroDivisionError) as e:
         return type(e), str(e)
+
+
+def _fraction_oracle(text):
+    """Q2(Fraction(text)), but refusing, as q2_parse does, a literal that
+    Fraction reads whose decimal exponent exceeds the int digit limit."""
+    m = FRACTION_GRAMMAR.match(text)
+    if m and m["exp"] and abs(int(m["exp"])) > sys.get_int_max_str_digits():
+        raise ParseError(text)
+    return Q2(Fraction(text))
 
 
 @given(text=st.one_of(
@@ -108,9 +123,20 @@ def _outcome(parse, text):
 @example(text="\u0661\u0662")  # Arabic-Indic digits, which int() reads
 @example(text="7" * 4301)  # past the interpreter's int-to-str digit limit
 @example(text="1/" + "7" * 4301)
+@example(text="0E1000000")  # Fraction would build 10**1000000 first
+@example(text="1.5e-4301")
+@example(text="1e4300")
 def test_q2_parse_reads_rationals_exactly_as_fraction_does(text):
-    assert _outcome(q2_parse, text) == _outcome(lambda s: Q2(Fraction(s)),
-                                                text)
+    assert _outcome(q2_parse, text) == _outcome(_fraction_oracle, text)
+
+
+def test_a_huge_exponent_is_refused_before_it_is_built():
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e1000000", "-2.5E-300000000", f"1e{limit + 1}"):
+        for mode in ("exact", "float"):
+            with pytest.raises(ParseError, match="get_int_max_str_digits"):
+                as_scalar(text, mode)
+    assert q2_parse(f"3e-{limit}") == Q2(Fraction(3, 10**limit))
 
 
 def test_plain_rational_takes_only_plain_literals():
@@ -195,16 +221,25 @@ def test_sqrt_bracket_rigor(x):
 
 @given(num=st.integers(1, 10**40), den=st.integers(1, 10**40),
        shift=st.integers(-2300, 2000))
+@example(num=2722258935367507103244087052139591892992, den=1, shift=1917)
+@example(num=10**40, den=1, shift=2000)  # a root near 2**1066
 def test_sqrt_bounds_are_adjacent_doubles(num, den, shift):
-    # shift spans roots below the smallest subnormal up to about 2**1000
+    # shift spans roots below the smallest subnormal up to about 2**1066,
+    # past the largest double (just under 2**1024)
     x = Fraction(num, den) * Fraction(2) ** shift
     up, down = up_sqrt_frac(x), down_sqrt_frac(x)
     assert down * down <= x <= up * up
+    if up > Fraction(sys.float_info.max):
+        # no double lies at or above the root: the rational bounds still
+        # bracket it, and the float bound is refused
+        with pytest.raises(InvalidParams, match="sys.float_info.max"):
+            up_sqrt(x)
+        return
     assert Fraction(float(up)) == up and Fraction(float(down)) == down
     if down == 0:
         assert up == Fraction(math.ulp(0.0))
-    else:
-        assert up in (down, Fraction(math.nextafter(float(down), math.inf)))
+    elif up != down:  # so down is below the largest double: the next is finite
+        assert up == Fraction(math.nextafter(float(down), math.inf))
 
 
 @given(x=st.one_of(
@@ -290,3 +325,59 @@ def test_float_abs_sq_is_exact():
     # binary64 squaring would overflow here, and round 0.1**2
     assert abs_sq(complex(1e308, -1e308)) == 2 * Fraction(1e308) ** 2
     assert abs_sq(0.1 + 0j) == Fraction(0.1) ** 2
+
+
+@pytest.mark.parametrize("value", [
+    EX_ZERO, EX_ONE, EX_INV_SQRT2, Q2(Fraction(-3, 4), 1), Q2(0, 2**70),
+    ExactScalar(Q2(Fraction(1, 3), -2), Q2(0, Fraction(5, 7)))])
+def test_scalars_survive_copy_and_pickle(value):
+    for clone in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value)
+        assert clone == value and hash(clone) == hash(value)
+        assert repr(clone) == repr(value)
+
+
+def test_rational_arithmetic_builds_no_fraction(monkeypatch):
+    """The integer representation is the whole hot path: a product, a sum
+    and a zero test of two rational scalars construct no Fraction."""
+    x = ExactScalar.from_rational(Fraction(3, 7))
+    y = ExactScalar.from_rational(Fraction(-5, 6))
+    built = []
+    fraction_new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and built == [(1, 2)]  # the counter is live
+    built.clear()
+    product, total = x * y, x + y
+    zeros = [is_zero(product), is_zero(total), is_zero(x - x), bool(x * 0)]
+    assert built == []
+    monkeypatch.undo()
+    assert zeros == [False, False, True, False]
+    assert product == Fraction(-5, 14) and total == Fraction(-17, 42)
+
+
+def test_equal_values_built_differently_share_one_form():
+    groups = [
+        [Q2(Fraction(2, 4)), Q2(1) / 2, q2_parse("1/2"), Q2("2/4"),
+         Q2(3, 2) * Q2(3, -2) / 2, Fraction(1, 2)],
+        [Q2(0, Fraction(1, 2)), Q2(1) / Q2(0, 1), q2_parse("2/4*sqrt2"),
+         Q2(0, 1) / 2],
+        [ExactScalar.from_rational(Fraction(6, 4)), ExactScalar(Q2("3/2")),
+         as_scalar("3/2", "exact"), EX_ONE * 3 / 2, Q2(Fraction(3, 2))],
+        [EX_INV_SQRT2, EX_ONE / EX_SQRT2, as_scalar("1/2*sqrt2", "exact"),
+         ExactScalar(Q2(0, Fraction(1, 2)), 0)],
+        [ExactScalar.from_rational(1, 1) / 2,
+         as_scalar(["1/2", "2/4"], "exact"),
+         ExactScalar(Fraction(1, 2), Fraction(1, 2))],
+    ]
+    for group in groups:
+        first = group[0]
+        for value in group[1:]:
+            assert value == first and hash(value) == hash(first)
+            if type(value) is type(first):
+                assert repr(value) == repr(first)

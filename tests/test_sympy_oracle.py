@@ -1,7 +1,8 @@
 """Exact arithmetic against sympy, an oracle that shares no scalar code with
 evolalg: the subspace chain's dimensions must be the ranks sympy finds over
-the field Q(sqrt2, i), and every Q2 / ExactScalar product must equal sympy's
-expansion of the same product."""
+the field Q(sqrt2, i), and every Q2 / ExactScalar sum, difference, product,
+quotient, inverse, conjugate, squared modulus and order must agree with
+sympy's expansion of the same expression."""
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -104,9 +105,14 @@ def test_chain_matches_sympy_rank_on_irrational_weights(rows, n):
     assert subspace_chain(s, n + 2) == sympy_chain(s, n + 2)
 
 
-fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+# small rationals, zeros, and components whose denominators pass 2**64
+fractions = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=40),
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(2**64, 2**80)))
 q2s = st.builds(Q2, fractions, st.one_of(st.just(0), fractions))
 scalars = st.builds(ExactScalar, q2s, st.one_of(st.just(Q2(0)), q2s))
+BIG = Fraction(3**50, 2**70 + 1)  # a denominator above 2**64
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,3 +133,56 @@ def test_q2_product_matches_sympy(x, y):
 def test_exact_scalar_product_matches_sympy(x, y):
     assert sp.expand(scalar_sympy(x * y) - scalar_sympy(x) * scalar_sympy(y)) \
         == 0
+
+
+def _zero(expr):
+    return sp.expand(expr) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=scalars, y=scalars)
+@example(x=ExactScalar(Fraction(1, 6)), y=ExactScalar(Fraction(1, 10)))
+@example(x=ExactScalar(Q2(BIG, -1), Q2(0, BIG)), y=ExactScalar(Q2(0, 1), 1))
+@example(x=ExactScalar(0), y=ExactScalar(Q2(0, Fraction(1, 3)), 2))
+def test_exact_scalar_sum_and_difference_match_sympy(x, y):
+    sx, sy = scalar_sympy(x), scalar_sympy(y)
+    assert _zero(scalar_sympy(x + y) - (sx + sy))
+    assert _zero(scalar_sympy(x - y) - (sx - sy))
+    assert _zero(scalar_sympy(-x) + sx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=scalars, y=scalars)
+@example(x=ExactScalar(Fraction(2, 3)), y=ExactScalar(Fraction(-4, 9)))
+@example(x=ExactScalar(1), y=ExactScalar(Q2(1, 1), Q2(0, BIG)))
+@example(x=ExactScalar(0, BIG), y=ExactScalar(Q2(0, -2)))
+def test_exact_scalar_quotient_conjugate_and_modulus_match_sympy(x, y):
+    sx, sy = scalar_sympy(x), scalar_sympy(y)
+    assert _zero(scalar_sympy(x.conjugate()) - sp.conjugate(sx))
+    assert _zero(q2_sympy(x.abs_sq()) - sx * sp.conjugate(sx))
+    if not y:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    assert _zero(scalar_sympy(x / y) * sy - sx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=q2s, y=q2s)
+@example(x=Q2(3, 2), y=Q2(0))  # 1/(3+2*sqrt2) = 3-2*sqrt2
+@example(x=Q2(BIG, Fraction(-1, 2**65)), y=Q2(BIG))
+@example(x=Q2(1, -1), y=Q2(Fraction(-5, 12)))  # 1 - sqrt2 < -5/12
+@example(x=Q2(0, 1), y=Q2(Fraction(99, 70)))  # sqrt2 just above 99/70
+def test_q2_inverse_quotient_and_order_match_sympy(x, y):
+    sx, sy = q2_sympy(x), q2_sympy(y)
+    if x:
+        assert _zero(q2_sympy(x.inverse()) * sx - 1)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    if y:
+        assert _zero(q2_sympy(x / y) * sy - sx)
+    sign = sp.sign(sx - sy)
+    assert sign in (-1, 0, 1)  # sympy decided it
+    assert ((x < y), (x <= y), (x == y), (x >= y), (x > y)) == \
+        (sign < 0, sign <= 0, sign == 0, sign >= 0, sign > 0)
