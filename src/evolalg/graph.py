@@ -65,7 +65,9 @@ class FiniteRow:
     entries: Tuple[Entry, ...]
 
     def __init__(self, entries: Tuple[Entry, ...]):
-        # written out, not generated: one call builds and checks a row
+        # written out, not generated: one call builds and checks a row, and
+        # a profile names it here, not under the ('<string>', 2, '__init__')
+        # label that every generated dataclass __init__ shares
         targets = tuple([k for k, _w in entries])
         last = 0
         for k in targets:
