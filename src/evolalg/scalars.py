@@ -239,19 +239,18 @@ class Q2:
 
     def upper(self) -> Fraction:
         """Rational upper bound."""
-        p, q, d = self._p, self._q, self._d
-        if not q:
-            return Fraction(p, d)
-        return Fraction(p * _S2_SCALE + q * (_S2_FLOOR + (q > 0)),
-                        d * _S2_SCALE)
+        return self._bound(self._q > 0)
 
     def lower(self) -> Fraction:
         """Rational lower bound."""
+        return self._bound(self._q < 0)
+
+    def _bound(self, hi: bool) -> Fraction:
+        # sqrt2 read as SQRT2_HI when ``hi``, else as SQRT2_LO
         p, q, d = self._p, self._q, self._d
         if not q:
             return Fraction(p, d)
-        return Fraction(p * _S2_SCALE + q * (_S2_FLOOR + (q < 0)),
-                        d * _S2_SCALE)
+        return Fraction(p * _S2_SCALE + q * (_S2_FLOOR + hi), d * _S2_SCALE)
 
     def sqrt(self):
         """Exact square root within Q2 if one exists, else None."""
@@ -321,13 +320,15 @@ def fraction_str(x: Fraction) -> str:
 
 def q2_str(q: Q2) -> str:
     """Render as "p/q", "r/s*sqrt2" or "p/q+r/s*sqrt2" (exactly invertible)."""
-    if q.b == 0:
-        return fraction_str(q.a)
-    tail = f"{fraction_str(abs(q.b))}*sqrt2"
-    if q.a == 0:
-        return tail if q.b > 0 else "-" + tail
-    sep = "+" if q.b > 0 else "-"
-    return f"{fraction_str(q.a)}{sep}{tail}"
+    p, d = q._p, q._d
+    if not q._q:
+        return fraction_str(Fraction(p, d))
+    b = Fraction(q._q, d)
+    tail = f"{fraction_str(abs(b))}*sqrt2"
+    if not p:
+        return tail if b > 0 else "-" + tail
+    sep = "+" if b > 0 else "-"
+    return f"{fraction_str(Fraction(p, d))}{sep}{tail}"
 
 
 def _plain_rational(s: str):
@@ -413,26 +414,20 @@ class ExactScalar:
         return None
 
     def __add__(self, other):
-        o = other if type(other) is ExactScalar else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         d, e = self._d, o._d
-        if d == e:
-            return _ex(self._p + o._p, self._q + o._q, self._r + o._r,
-                       self._s + o._s, d)
         return _ex(self._p * e + o._p * d, self._q * e + o._q * d,
                    self._r * e + o._r * d, self._s * e + o._s * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if type(other) is ExactScalar else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         d, e = self._d, o._d
-        if d == e:
-            return _ex(self._p - o._p, self._q - o._q, self._r - o._r,
-                       self._s - o._s, d)
         return _ex(self._p * e - o._p * d, self._q * e - o._q * d,
                    self._r * e - o._r * d, self._s * e - o._s * d, d * e)
 
@@ -446,17 +441,13 @@ class ExactScalar:
         return _ex(-self._p, -self._q, -self._r, -self._s, self._d)
 
     def __mul__(self, other):
-        o = other if type(other) is ExactScalar else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         p, q, r, s = self._p, self._q, self._r, self._s
         p2, q2, r2, s2 = o._p, o._q, o._r, o._s
-        if not (q or r or s):  # a rational factor scales the other
-            if not (q2 or r2 or s2):  # both rational: one product
-                return _ex(p * p2, 0, 0, 0, self._d * o._d)
-            return _ex(p * p2, p * q2, p * r2, p * s2, self._d * o._d)
-        if not (q2 or r2 or s2):
-            return _ex(p * p2, q * p2, r * p2, s * p2, self._d * o._d)
+        if not (q or r or s or q2 or r2 or s2):  # both rational: one product
+            return _ex(p * p2, 0, 0, 0, self._d * o._d)
         # (A + Bi)(C + Di) = AC - BD + (AD + BC)i with A = p + q*sqrt2,
         # B = r + s*sqrt2, C = p2 + q2*sqrt2 and D = r2 + s2*sqrt2
         return _ex(p * p2 + 2 * q * q2 - r * r2 - 2 * s * s2,
@@ -482,7 +473,7 @@ class ExactScalar:
                    d * (2 * s * n1 - r * n0), d * (r * n1 - s * n0), m)
 
     def __truediv__(self, other):
-        o = other if type(other) is ExactScalar else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self * o._inverse()
@@ -503,7 +494,7 @@ class ExactScalar:
         return bool(self._p or self._q or self._r or self._s)
 
     def __eq__(self, other):
-        o = other if type(other) is ExactScalar else self._coerce(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return (self._p == o._p and self._d == o._d and self._q == o._q
@@ -650,7 +641,7 @@ def is_zero(x, tol: float = 0.0) -> bool:
 def scalar_str(x) -> str:
     """Human/DOT rendering of a scalar."""
     if isinstance(x, ExactScalar):
-        if not x.im:
+        if not (x._r or x._s):
             return q2_str(x.re)
         return f"({q2_str(x.re)})+({q2_str(x.im)})i"
     if x.imag == 0:
