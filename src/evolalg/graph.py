@@ -51,31 +51,56 @@ UNIVERSE_CEILING = 1 << 20
 _LITERALS = (str, int)
 
 
+def _order_error(k: int) -> ValidationError:
+    """The refusal of target k, the first that does not exceed the one
+    before it in its row (0 before the first)."""
+    return ValidationError(f"vertex id {k} out of range" if k < 1
+                           else "row entries must be strictly increasing")
+
+
+def _vertex_key(key, what: str) -> int:
+    """A row or element key as a vertex id: an int that is no bool, or an
+    ASCII string of decimal digits with an optional leading '-'.  Anything
+    else, such as 1.9, True, " 3 " or "1_0", is a ParseError; the range is
+    the caller's to check."""
+    if isinstance(key, str):
+        if key.isascii() and (key.isdigit()
+                              or key[:1] == "-" and key[1:].isdigit()):
+            try:
+                return int(key)
+            except ValueError:  # past the interpreter's int-string limit
+                pass
+    elif isinstance(key, int) and not isinstance(key, bool):
+        return key
+    raise ParseError(f"{what} key {key!r} is not an integer")
+
+
 @dataclass(frozen=True, init=False)
 class FiniteRow:
     """Fully materialised row; entries strictly increasing by target.
 
     It shares its reading methods with :class:`LazyRow`; each returns what
     the lazy row would return once materialised in full.  The targets are
-    checked and kept as an int tuple once, when the row is built, in a slot
-    that is no dataclass field.
+    kept as an int tuple in a slot that is no dataclass field, checked once
+    when the row is built, or by the caller that hands them over.
     """
 
     __slots__ = ("entries", "_targets")
     entries: Tuple[Entry, ...]
 
-    def __init__(self, entries: Tuple[Entry, ...]):
+    def __init__(self, entries: Tuple[Entry, ...],
+                 targets: Optional[Tuple[int, ...]] = None):
         # written out, not generated: one call builds and checks a row, and
         # a profile names it here, not under the ('<string>', 2, '__init__')
-        # label that every generated dataclass __init__ shares
-        targets = tuple([k for k, _w in entries])
-        last = 0
-        for k in targets:
-            if k <= last:  # last starts at 0, so this also catches k < 1
-                raise ValidationError(
-                    f"vertex id {k} out of range" if k < 1
-                    else "row entries must be strictly increasing")
-            last = k
+        # label that every generated dataclass __init__ shares.  Given
+        # `targets`, the caller has built and checked them from `entries`.
+        if targets is None:
+            targets = tuple([k for k, _w in entries])
+            last = 0
+            for k in targets:
+                if k <= last:  # last starts at 0, so this also catches k < 1
+                    raise _order_error(k)
+                last = k
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_targets", targets)
 
@@ -276,6 +301,8 @@ class EvolutionStructure:
         self._column_fn = column_fn
         self._rows: dict[int, Row] = {}
         self._cols: dict[int, Row] = {}
+        # from_rows: every vertex's target tuple, indexed by vertex
+        self._targets: Optional[list] = None
 
     # -- access -------------------------------------------------------------
     def _check_vertex(self, i: int) -> None:
@@ -331,28 +358,37 @@ class EvolutionStructure:
     def from_rows(cls, rows: dict, n: int, mode: str = "exact",
                   tol: float = 1e-12) -> "EvolutionStructure":
         """Finite structure from explicit rows ``{i: [[target, weight] or
-        [target, re, im], ...]}``; keys may be ints or integer strings.
+        [target, re, im], ...]}``; keys are ints or decimal strings.
 
-        ``n``, mode and tol are checked before any weight is read.  Each
-        entry is then read once: its weight by :func:`as_scalar`, its target
-        order by :class:`FiniteRow`.  Each distinct weight literal (an int or
-        a string) is converted and checked for zero once per call; later
-        entries share its immutable scalar.  The column table is built on
-        the first ``column_of``.
+        ``n``, mode and tol are checked before any weight is read.  One
+        pass then reads each entry once: its target, checked to be an int
+        above the one before it, and its weight, by :func:`as_scalar`.
+        Each distinct weight literal (an int or a string) is converted and
+        checked for zero once per call; later entries share its immutable
+        scalar.  Each row's entry tuple goes into a table indexed by vertex
+        (None where no row is given) and its target tuple into a second
+        one, which the window searches read directly when the window is
+        the whole universe.  ``row_of`` builds a vertex's
+        :class:`FiniteRow` from the two on its first read, with no second
+        check; absent vertices share one empty row.  The column table is
+        built on the first ``column_of``.
         """
-        table: dict[int, FiniteRow] = {}
         # literal -> its nonzero scalar; keyed by exact type only, since
         # 1 == 1.0 == True == Fraction(1) while exact mode refuses 1.0 and True
         scalars: dict = {}
-        empty = FiniteRow(())
+        empty = FiniteRow((), ())
         columns: Optional[dict] = None
+
+        def row_fn(i: int) -> FiniteRow:
+            entries = table[i]
+            return FiniteRow(entries, targets_of[i]) if entries else empty
 
         def column_fn(k: int) -> FiniteRow:
             nonlocal columns
             if columns is None:
                 cols: dict[int, list] = {}
-                for i in sorted(table):
-                    for t, w in table[i].entries:
+                for i, entries in enumerate(table):
+                    for t, w in entries or ():
                         cols.setdefault(t, []).append((i, w))
                 columns = {t: FiniteRow(tuple(v)) for t, v in cols.items()}
             return columns.get(k, empty)
@@ -360,32 +396,40 @@ class EvolutionStructure:
         if type(n) is not int:  # None would make the universe infinite
             raise InvalidParams(f"the universe size n must be an integer, "
                                 f"got {n!r}")
-        s = cls(mode, row_fn=lambda i: table.get(i, empty), universe=n,
+        s = cls(mode, row_fn=row_fn, universe=n,
                 column_fn=column_fn, tol=tol)
         if not isinstance(rows, dict):
             raise ParseError("'rows' must be an object mapping vertex -> "
                              "entries")
+        # n is within UNIVERSE_CEILING now
+        table: list = [None] * (n + 1)
+        targets_of: list = [()] * (n + 1)
         for key, entries in rows.items():
-            try:
-                i = int(key)
-            except (TypeError, ValueError) as e:
-                raise ParseError(f"row key {key!r} is not an integer") from e
+            i = _vertex_key(key, "row")
             if not 1 <= i <= n:
                 raise ValidationError(f"row index {i} outside universe 1..{n}")
-            if i in table:
+            if table[i] is not None:
                 raise ValidationError(f"row {i} is given twice")
             converted = []
+            last = 0
+            bad = None  # the first target that does not exceed the last
             try:
                 if not isinstance(entries, (list, tuple)):
                     raise ParseError("entries must be a list")
                 for e in entries:
-                    if not isinstance(e, (list, tuple)) or len(e) not in (2, 3):
+                    m = len(e) if isinstance(e, (list, tuple)) else 0
+                    if m == 2:
+                        k, raw = e
+                    elif m == 3:
+                        k, raw = e[0], e[1:]
+                    else:
                         raise ParseError(f"entries are [target, weight] or "
                                          f"[target, re, im], got {e!r}")
-                    k = e[0]
                     if type(k) is not int:
                         raise ParseError(f"target {k!r} is not an integer")
-                    raw = e[1] if len(e) == 2 else e[1:]
+                    if k <= last and bad is None:
+                        bad = k
+                    last = k
                     # None is never stored, so get() misses
                     key = raw if type(raw) in _LITERALS else None
                     w = scalars.get(key)
@@ -397,14 +441,20 @@ class EvolutionStructure:
                         if key is not None:
                             scalars[key] = w
                     converted.append((k, w))
-                table[i] = FiniteRow(tuple(converted))
-                if converted and converted[-1][0] > n:  # the largest target
-                    raise ValidationError(f"target {converted[-1][0]} "
-                                          f"outside universe 1..{n}")
+                if bad is not None:
+                    raise _order_error(bad)
+                if last > n:  # the largest target
+                    raise ValidationError(f"target {last} outside universe "
+                                          f"1..{n}")
             except (ParseError, ValidationError) as e:
                 raise type(e)(f"row {i}: {e}") from None
+            table[i] = tuple(converted)
+            targets_of[i] = tuple([k for k, _w in converted])
+        s._targets = targets_of
+        # a row given empty is (), not None, so it stays listed
         s.source = {"kind": "explicit", "mode": mode, "n": n,
-                    "rows": {i: r.entries for i, r in sorted(table.items())}}
+                    "rows": {i: entries for i, entries in enumerate(table)
+                             if entries is not None}}
         return s
 
 
@@ -497,6 +547,17 @@ def cycle_search(s: EvolutionStructure, window: int, budget: int):
     return path, completed
 
 
+def _universe_targets(s: EvolutionStructure, top: int) -> Optional[list]:
+    """The target tuples of a :meth:`~EvolutionStructure.from_rows` table,
+    indexed by vertex, when {1..top} is the whole finite universe; None
+    otherwise, and then rows are read through ``row_of(v).targets_upto(top)``.
+
+    A whole-universe window clips no row, so reading a vertex from the
+    table enumerates exactly its targets, as ``targets_upto`` counts them.
+    """
+    return s._targets if top == s.universe else None
+
+
 def window_dfs(s: EvolutionStructure, window: int, budget: int):
     """The depth-first search behind :func:`cycle_search`, with what it read.
 
@@ -506,39 +567,51 @@ def window_dfs(s: EvolutionStructure, window: int, budget: int):
     :func:`cycle_search`; `finished` lists the vertices in the order the
     search finished them, each after all of its descendants, so on a
     cycle-free window sinks come first; `targets` maps each vertex read to
-    its targets within the window.  Iterative, so long paths cannot overflow
-    the interpreter stack.
+    its targets within the window (the table of :func:`_universe_targets`
+    where there is one, which also maps the vertices not read).  Iterative
+    over int arrays (color, parent, the next target to follow), so long
+    paths cannot overflow the interpreter stack.
     """
     top = s.window_top(window)
     left = budget
+    table = _universe_targets(s, top)
+    adjacency: Union[list, dict] = {} if table is None else table
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * (top + 1)
-    parent: dict[int, int] = {}
-    adjacency: dict[int, Sequence[int]] = {}
+    parent = [0] * (top + 1)  # 0: a root of the search
+    cursor = [0] * (top + 1)  # the index of the next target to follow
     finished: list[int] = []
 
-    def read(v):
+    def read(v) -> bool:
+        """Charge v's row, max(entries, 1); False, with nothing charged,
+        when the budget left cannot pay for it (the search stops there)."""
         nonlocal left
-        targets, _, enumerated = s.row_of(v).targets_upto(top)
-        used = max(enumerated, 1)
+        if table is None:
+            targets, _, used = s.row_of(v).targets_upto(top)
+        else:
+            used = len(table[v])
+        used = used or 1
         if used > left:
-            return None  # the search stops at the first refused read
+            return False
         left -= used
-        adjacency[v] = targets
-        return targets
+        if table is None:
+            adjacency[v] = targets
+        return True
 
     for start in range(1, top + 1):
         if color[start] != WHITE:
             continue
-        targets = read(start)
-        if targets is None:
+        if not read(start):
             return None, finished, adjacency, False  # budget exhausted
         color[start] = GRAY
-        stack = [(start, iter(targets))]
-        while stack:
-            v, pending = stack[-1]
-            for k in pending:
+        v = start
+        while v:
+            targets = adjacency[v]
+            for i in range(cursor[v], len(targets)):
+                k = targets[i]
                 c = color[k]
+                if c == WHITE:
+                    break
                 if c == GRAY:
                     # k is on the current DFS path: walk back up to it
                     path = [v]
@@ -549,18 +622,17 @@ def window_dfs(s: EvolutionStructure, window: int, budget: int):
                     path.reverse()
                     path.append(k)
                     return path, finished, adjacency, True
-                if c == WHITE:
-                    targets = read(k)
-                    if targets is None:
-                        return None, finished, adjacency, False
-                    color[k] = GRAY
-                    parent[k] = v
-                    stack.append((k, iter(targets)))
-                    break
             else:
-                stack.pop()
                 color[v] = BLACK
                 finished.append(v)
+                v = parent[v]
+                continue
+            cursor[v] = i + 1
+            if not read(k):
+                return None, finished, adjacency, False
+            color[k] = GRAY
+            parent[k] = v
+            v = k
     return None, finished, adjacency, True
 
 

@@ -27,6 +27,7 @@ from .graph import (
     INFINITE,
     WINDOW_CEILING,
     EvolutionStructure,
+    _universe_targets,
     descendants_generation,
     path_is_valid,
     window_dfs,
@@ -186,8 +187,9 @@ def _heights(finished, targets, top: int) -> list:
     """height[v] for every vertex the search finished: the most edges on a
     path from v.  Each finished vertex comes after all of its targets."""
     height = [0] * (top + 1)
+    at = height.__getitem__
     for v in finished:
-        height[v] = max([height[t] + 1 for t in targets[v]], default=0)
+        height[v] = max(map(at, targets[v]), default=-1) + 1
     return height
 
 
@@ -355,14 +357,20 @@ def triangularize_window(s: EvolutionStructure, window: int,
 
     # pending[v] counts the targets of v not removed yet (a row's targets
     # are distinct, and a self-loop returns at once)
-    targets_of: list = [()] * (top + 1)
+    table = _universe_targets(s, top)
+    targets_of: list = [()] * (top + 1) if table is None else table
     pending = [0] * (top + 1)
     stuck = set()
     rev: list = [[] for _ in range(top + 1)]
     entries_left = budget
     for v in range(1, top + 1):
-        targets, exhausted, used = s.row_of(v).targets_upto(top)
-        entries_left -= max(used, 1)
+        if table is None:
+            targets, exhausted, used = s.row_of(v).targets_upto(top)
+            targets_of[v] = targets
+        else:
+            targets = table[v]
+            exhausted, used = True, len(targets)
+        entries_left -= used or 1
         if entries_left < 0:
             raise BudgetZero(f"row enumeration budget exhausted at vertex {v}")
         if v in targets:
@@ -370,7 +378,6 @@ def triangularize_window(s: EvolutionStructure, window: int,
             return CycleFound((v, v))
         if not exhausted and not exempt:
             stuck.add(v)
-        targets_of[v] = targets
         pending[v] = len(targets)
         for t in targets:
             rev[t].append(v)

@@ -22,7 +22,8 @@ Elements use the same weight forms: ``[[vertex, weight], ...]`` or
 ``[[vertex, re, im], ...]`` or an object ``{"vertex": weight}``.
 
 Errors: ParseError for a value that cannot be read (text that is not JSON,
-a row that is not a list, a bool or a float in exact mode as a weight);
+a row that is not a list, a row or element key that is not decimal digits
+with an optional leading '-', a bool or a float in exact mode as a weight);
 ValidationError for a value that reads but breaks a rule (a zero weight, a
 float weight that is not finite, a target out of order or outside the
 universe, a vertex given twice, an element vertex id below 1);
@@ -40,7 +41,7 @@ from fractions import Fraction
 from .algebra import ApproxElement, Element
 from .errors import ParseError, ValidationError
 from .families import FamilySpec, _build_finite_explicit, build_family
-from .graph import EvolutionStructure
+from .graph import EvolutionStructure, _vertex_key
 from .scalars import ExactScalar, Q2, as_scalar, fraction_str, q2_str
 
 # -- structures --------------------------------------------------------------
@@ -95,12 +96,7 @@ def parse_element(spec, mode: str) -> Element:
     """Element from ``[[vertex, weight], ...]`` / ``{"vertex": weight}`` JSON."""
     obj = read_json(spec)
     if isinstance(obj, dict):
-        items = []
-        for key, raw in obj.items():
-            try:
-                items.append((int(key), raw))
-            except (TypeError, ValueError) as e:
-                raise ParseError(f"vertex key {key!r} is not an integer") from e
+        items = [(_vertex_key(key, "vertex"), raw) for key, raw in obj.items()]
     elif isinstance(obj, list):
         items = []
         for e in obj:

@@ -584,6 +584,13 @@ EXPLICIT_REFUSALS = [
     ({"rows": {"1": [[2, float("-inf")]]}, **FLOAT_ROWS}, "ValidationError"),
     ({"rows": {"1": [[2, 1.0, float("inf")]]}, **FLOAT_ROWS},
      "ValidationError"),
+    # row keys: decimal digits with an optional '-', nothing else
+    ({"rows": {"1_0": [[11, 1]], " 3 ": [[4, 1]]}, "n": 20}, "ParseError"),
+    ({"rows": {" 3 ": [[4, 1]]}, "n": 20}, "ParseError"),
+    ({"rows": {"+1": []}, "n": 2}, "ParseError"),
+    ({"rows": {"\u0661": []}, "n": 2}, "ParseError"),
+    ({"rows": {"1" * 5000: []}, "n": 2}, "ParseError"),
+    ({"rows": {"-1": []}, "n": 2}, "ValidationError"),
 ]
 
 
@@ -635,6 +642,11 @@ def test_spec_refusals(argv, stdin, error):
     ('{"0": 1}', "exact", "ValidationError"),
     ('{"-3": 1}', "float", "ValidationError"),
     ('{"1": 1, "01": 2}', "exact", "ValidationError"),
+    ('{"1_0": 1}', "exact", "ParseError"),
+    ('{" 1 ": 1}', "exact", "ParseError"),
+    ('{"+1": 1}', "exact", "ParseError"),
+    ('{"\\u0661": 1}', "exact", "ParseError"),
+    ('{"": 1}', "float", "ParseError"),
     ('{"1": 0.5}', "exact", "ParseError"),
     ('{"1": "x"}', "exact", "ParseError"),
     ('{"1": [1, 2, 3]}', "exact", "ParseError"),

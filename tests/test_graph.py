@@ -14,12 +14,14 @@ from evolalg import (
     FiniteRow,
     LazyRow,
     build_family,
+    classify,
     cycle_search,
     degree,
     descendants_generation,
     export_window_dot,
     path_is_valid,
     random_finite_structure,
+    triangularize_window,
 )
 from evolalg import graph
 from evolalg.errors import (
@@ -30,7 +32,7 @@ from evolalg.errors import (
     ParseError,
     ValidationError,
 )
-from evolalg.graph import UNIVERSE_CEILING
+from evolalg.graph import UNIVERSE_CEILING, window_dfs
 from evolalg.scalars import EX_ONE, ExactScalar, as_scalar
 from evolalg.serialize import parse_structure
 
@@ -208,6 +210,75 @@ def test_cycle_search_results():
     assert path is None and not completed
 
 
+@st.composite
+def finite_specs(draw):
+    """(n, rows) with n <= 60: forward edges only, so a DAG, unless a cycle
+    is planted; some vertices are given empty rows, the rest none."""
+    n = draw(st.integers(1, 60))
+    rows = {}
+    for v in draw(st.sets(st.integers(1, n))):
+        rows[v] = draw(st.sets(st.integers(v + 1, n), max_size=4)
+                       if v < n else st.just(set()))
+    if draw(st.booleans()):
+        cycle = draw(st.lists(st.integers(1, n), min_size=1, max_size=6,
+                              unique=True))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            rows.setdefault(a, set()).add(b)
+    return n, {v: [[t, 1] for t in sorted(ts)] for v, ts in rows.items()}
+
+
+def _triangularized(s, window, budget):
+    try:
+        return triangularize_window(s, window, budget)
+    except BudgetZero as e:
+        return "BudgetZero", str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=finite_specs(), data=st.data())
+def test_table_and_row_readers_decide_alike(spec, data):
+    # from_rows searches read its target table when the window is the
+    # whole universe; a plain row_fn over the same rows goes through row_of
+    n, rows = spec
+    s = EvolutionStructure.from_rows(rows, n)
+    plain = EvolutionStructure("exact", row_fn=s.row_of, universe=n)
+    window = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+    # small budgets run out inside the search; the largest never does
+    budget = data.draw(st.one_of(st.integers(1, 2 * n + 8),
+                                 st.integers(1, n * n + n + 8)))
+    path, finished, targets, completed = window_dfs(s, window, budget)
+    expected = window_dfs(plain, window, budget)
+    assert (path, finished, completed) == \
+        (expected[0], expected[1], expected[3])
+    assert {v: targets[v] for v in expected[2]} == expected[2]
+    assert cycle_search(s, window, budget) == \
+        cycle_search(plain, window, budget)
+    assert _triangularized(s, window, budget) == \
+        _triangularized(plain, window, budget)
+    assert classify(s) == classify(plain)
+
+
+def _sparse_rows(n, cyclic):
+    rows = {v: [[t, "1/2"] for t in (v + 1, v + 3) if t <= n]
+            for v in range(1, n + 1) if v % 7}
+    if cyclic:
+        rows[n - 100] = [[n - 400, 1]] + rows[n - 100]
+    return rows
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_whole_universe_decisions_read_no_row(cap_row_reads, cyclic):
+    n = 2000
+    s = cap_row_reads(EvolutionStructure.from_rows(_sparse_rows(n, cyclic),
+                                                   n), cap=0)
+    report = classify(s)
+    assert (report.nil.status == "no") == cyclic
+    tri = triangularize_window(s, n)
+    assert type(tri).__name__ == ("CycleFound" if cyclic else "Permutation")
+    path, completed = cycle_search(s, n, 8 * n + 8)
+    assert completed and (path is not None) == cyclic
+
+
 def test_path_is_valid():
     comb = build_family("comb")
     assert path_is_valid(comb, [2, 3, 4])
@@ -241,6 +312,22 @@ def test_from_rows_validation():
         EvolutionStructure.from_rows({1: [(2, 0)]}, 3)
     with pytest.raises(ValidationError):
         EvolutionStructure.from_rows({1: [(3, 1), (2, 1)]}, 3)
+
+
+def test_from_rows_reads_keys_as_decimal_integers():
+    for key in (1.9, True, 1.0, None, (1,), " 3 ", "1_0", "+1", "", "-",
+                "\u0661", "1" * 5000):
+        with pytest.raises(ParseError, match="^row key "):
+            EvolutionStructure.from_rows({key: [[2, 1]]}, 2)
+    for key in ("0", "-1", 0, 3):
+        with pytest.raises(ValidationError, match="outside universe"):
+            EvolutionStructure.from_rows({key: []}, 2)
+    with pytest.raises(ValidationError, match="given twice"):
+        EvolutionStructure.from_rows({1: [], "01": []}, 2)
+    s = EvolutionStructure.from_rows({"3": [], 1: [[2, 1]]}, 4)
+    # in vertex order, rows given empty listed, absent ones not
+    assert list(s.source["rows"].items()) == [(1, ((2, EX_ONE),)), (3, ())]
+    assert s.row_of(3) == s.row_of(4) == FiniteRow(())
 
 
 def _count_as_scalar(monkeypatch):
