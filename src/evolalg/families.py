@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Callable, Optional
 
 from .errors import InvalidParams
@@ -28,10 +28,6 @@ from .scalars import EX_INV_SQRT2, EX_ONE, ExactScalar
 class FamilySpec:
     name: str
     params: dict = field(default_factory=dict)
-
-
-def _unit():
-    return EX_ONE
 
 
 def _exact(x) -> ExactScalar:
@@ -98,12 +94,12 @@ def _build_rary_tree(params: dict) -> EvolutionStructure:
         raise InvalidParams("rary_tree supports unit weights only")
 
     def row(i):
-        return FiniteRow(tuple((c, _unit()) for c in rary_children(i, r)))
+        return FiniteRow(tuple((c, EX_ONE) for c in rary_children(i, r)))
 
     def col(i):
         if i == 1:
             return FiniteRow(())
-        return FiniteRow(((rary_parent(i, r), _unit()),))
+        return FiniteRow(((rary_parent(i, r), EX_ONE),))
 
     meta = FamilyMeta(
         # every vertex heads the ray through its first children
@@ -117,29 +113,82 @@ def _build_rary_tree(params: dict) -> EvolutionStructure:
                                       "params": {"r": r}})
 
 
+# -- periodic families ------------------------------------------------------
+# The rows of markov_line, alt_line_B, alt_line_C0, hub_line and comb repeat
+# with a period, so each is one period of (offset, weight) pairs, the form in
+# which Iwano & Steiglitz give periodic digraphs, and an optional lazy
+# geometric row 1.  The columns are that pattern inverted: column k reads no
+# row, so a far column costs what a near one does.
+
+def _periodic(name: str, params: dict, meta: FamilyMeta, pattern,
+              hub=None) -> EvolutionStructure:
+    """The structure whose row i holds the targets i + offset with their
+    weights, for each (offset, weight) in ``pattern[i % len(pattern)]``,
+    offsets strictly increasing.
+
+    ``hub = (first, ratios, tail_sq, tail_abs)`` replaces row 1 by a lazy
+    row over the targets 2, 3, ... with w_2 = first and
+    w_{j+1} = w_j * ratios[j % len(ratios)], whose tail bounds are the two
+    given functions; the pattern then covers the vertices i >= 2.
+    """
+    period = len(pattern)
+    rows = [(tuple(d for d, _w in pat),
+             tuple(w for _d, w in pat)) for pat in pattern]
+    # residue t -> (source - target, weight) of each edge into a vertex
+    # k = t (mod period), in order of source
+    inverse = [[] for _ in pattern]
+    for r, pat in enumerate(pattern):
+        for d, w in pat:
+            inverse[(r + d) % period].append((-d, w))
+    for into in inverse:
+        into.sort(key=lambda entry: entry[0])
+    first_row = 1 if hub is None else 2
+    row1 = hub_weight = None
+    if hub is not None:
+        first, ratios, tail_sq, tail_abs = hub
+        cycle = len(ratios)
+
+        def factory():
+            j, w = 2, first
+            while True:
+                yield j, _exact(w)
+                w *= ratios[j % cycle]
+                j += 1
+
+        row1 = LazyRow(factory, tail_sq_bound=tail_sq, tail_abs_bound=tail_abs)
+        # w_k = heads[m] * per_cycle ** n where k - 2 = n * cycle + m: n
+        # whole cycles of ratios, then the first m ratios from ratios[2 % cycle]
+        per_cycle = prod(ratios)
+        heads = [first]
+        for j in range(2, cycle + 1):
+            heads.append(heads[-1] * ratios[j % cycle])
+
+        def hub_weight(k):
+            n, m = divmod(k - 2, cycle)
+            return _exact(heads[m] * per_cycle ** n)
+
+    def row(i):
+        if i < first_row:
+            return row1
+        offsets, weights = rows[i % period]
+        targets = tuple(map(i.__add__, offsets))
+        return FiniteRow(tuple(zip(targets, weights)), targets)
+
+    def col(k):
+        entries = [(k + d, w) for d, w in inverse[k % period]
+                   if k + d >= first_row]
+        if hub_weight is not None and k >= 2:
+            entries.insert(0, (1, hub_weight(k)))
+        return FiniteRow(tuple(entries))
+
+    return EvolutionStructure("exact", row, None, col, meta,
+                              source={"kind": "family", "family": name,
+                                      "params": params})
+
+
 # -- markov line -------------------------------------------------------------
 # Vertex 1 feeds every j >= 2 with weights c_1j = (1-q) q^(j-2) (row sum 1);
 # every i >= 2 shifts to i+1 with weight 1.
-
-def _geometric_row1(q: Fraction):
-    def factory():
-        j = 2
-        c = 1 - q
-        while True:
-            yield j, _exact(c)
-            c *= q
-            j += 1
-
-    def tail_abs(n: int) -> Fraction:
-        n = max(n, 1)
-        return q ** (n - 1)
-
-    def tail_sq(n: int) -> Fraction:
-        n = max(n, 1)
-        return (1 - q) * q ** (2 * (n - 1)) / (1 + q)
-
-    return LazyRow(factory, tail_sq_bound=tail_sq, tail_abs_bound=tail_abs)
-
 
 def markov_weight(j: int, q: Fraction) -> Fraction:
     if j < 2:
@@ -156,19 +205,13 @@ def _build_markov_line(params: dict) -> EvolutionStructure:
     if not 0 < q < 1:
         raise InvalidParams("markov_line ratio must satisfy 0 < ratio < 1")
 
-    row1 = _geometric_row1(q)
+    def tail_abs(n: int) -> Fraction:
+        n = max(n, 1)
+        return q ** (n - 1)
 
-    def row(i):
-        if i == 1:
-            return row1
-        return FiniteRow(((i + 1, _unit()),))
-
-    def col(k):
-        if k == 1:
-            return FiniteRow(())
-        if k == 2:
-            return FiniteRow(((1, _exact(markov_weight(2, q))),))
-        return FiniteRow(((1, _exact(markov_weight(k, q))), (k - 1, _unit())))
+    def tail_sq(n: int) -> Fraction:
+        n = max(n, 1)
+        return (1 - q) * q ** (2 * (n - 1)) / (1 + q)
 
     meta = FamilyMeta(
         # 1 -> 2 -> 3 -> ... is an infinite ray, and so is each of its tails
@@ -177,9 +220,9 @@ def _build_markov_line(params: dict) -> EvolutionStructure:
         ranks_finite=False,
         no_window_reentry=True,
     )
-    return EvolutionStructure("exact", row, None, col, meta,
-                              source={"kind": "family", "family": "markov_line",
-                                      "params": {"ratio": str(q)}})
+    return _periodic("markov_line", {"ratio": str(q)}, meta,
+                     (((1, EX_ONE),),),
+                     hub=(1 - q, (q,), tail_sq, tail_abs))
 
 
 # -- alternating line, natural basis ----------------------------------------
@@ -188,28 +231,15 @@ def _build_markov_line(params: dict) -> EvolutionStructure:
 def _build_alt_line_B(params: dict) -> EvolutionStructure:
     if params:
         raise InvalidParams("alt_line_B takes no parameters")
-
-    def row(i):
-        if i % 2 == 1:
-            return FiniteRow(((i + 1, _unit()), (i + 2, _unit())))
-        return FiniteRow(((i, _unit()), (i + 1, _unit())))
-
-    def col(k):
-        if k == 1:
-            return FiniteRow(())
-        if k % 2 == 0:
-            return FiniteRow(((k - 1, _unit()), (k, _unit())))
-        return FiniteRow(((k - 2, _unit()), (k - 1, _unit())))
-
     meta = FamilyMeta(
         # every vertex reaches the self-loop at an even vertex
         rank=lambda i: INFINITE,
         sup_rank=INFINITE,
         ranks_finite=False,
     )
-    return EvolutionStructure("exact", row, None, col, meta,
-                              source={"kind": "family", "family": "alt_line_B",
-                                      "params": {}})
+    return _periodic("alt_line_B", {}, meta,
+                     (((0, EX_ONE), (1, EX_ONE)),    # even i
+                      ((1, EX_ONE), (2, EX_ONE))))   # odd i
 
 
 # -- alternating line, orthonormalised natural basis -------------------------
@@ -217,91 +247,52 @@ def _build_alt_line_B(params: dict) -> EvolutionStructure:
 #   odd i:  (1/sqrt2) { f_i + f_{i+1} + f_{i+2} - f_{i+3} }
 #   even i: (1/sqrt2) { f_{i-1} + f_i + f_{i+1} - f_{i+2} }
 
-def _c0_row_entries(i: int):
-    p = EX_INV_SQRT2
-    if i % 2 == 1:
-        return ((i, p), (i + 1, p), (i + 2, p), (i + 3, -p))
-    return ((i - 1, p), (i, p), (i + 1, p), (i + 2, -p))
-
-
 def _build_alt_line_C0(params: dict) -> EvolutionStructure:
     if params:
         raise InvalidParams("alt_line_C0 takes no parameters")
-
-    def row(i):
-        return FiniteRow(_c0_row_entries(i))
-
-    def col(k):
-        out = []
-        for i in range(max(1, k - 3), k + 2):
-            for tgt, w in _c0_row_entries(i):
-                if tgt == k:
-                    out.append((i, w))
-        return FiniteRow(tuple(out))
-
+    p, m = EX_INV_SQRT2, -EX_INV_SQRT2
     meta = FamilyMeta(
         # every row contains its own index: a self-loop at every vertex
         rank=lambda i: INFINITE,
         sup_rank=INFINITE,
         ranks_finite=False,
     )
-    return EvolutionStructure("exact", row, None, col, meta,
-                              source={"kind": "family", "family": "alt_line_C0",
-                                      "params": {}})
+    return _periodic("alt_line_C0", {}, meta,
+                     (((-1, p), (0, p), (1, p), (2, m)),    # even i
+                      ((0, p), (1, p), (2, p), (3, m))))    # odd i
 
 
 # -- hub line ----------------------------------------------------------------
 # Vertex 1 feeds every l >= 2 with alpha_l; odd i >= 3: e_i^2 = e_i + e_{i-1};
 # even i: e_i^2 = e_i + e_{i+1}.
 
-def _hub_alpha(kind: str) -> Callable[[int], Fraction]:
-    if kind == "generic":
-        return lambda l: Fraction(1, 2 ** (l - 1))
-    if kind == "paired":
-        # alpha_{2l} = alpha_{2l+1} = 4^-l
-        return lambda l: Fraction(1, 4 ** (l // 2))
-    raise InvalidParams("hub_line alpha must be 'generic' or 'paired'")
+# alpha as (alpha_2, ratios): generic alpha_l = 2^-(l-1); paired
+# alpha_{2l} = alpha_{2l+1} = 4^-l
+_HUB_ALPHA = {
+    "generic": (Fraction(1, 2), (Fraction(1, 2),)),
+    "paired": (Fraction(1, 4), (Fraction(1), Fraction(1, 4))),
+}
 
 
 def _build_hub_line(params: dict) -> EvolutionStructure:
     _check_keys("hub_line", params, frozenset({"alpha"}))
     kind = params.get("alpha", "generic")
-    alpha = _hub_alpha(kind)
-
-    def factory():
-        l = 2
-        while True:
-            yield l, _exact(alpha(l))
-            l += 1
-
-    # both alpha choices sit under the envelope |alpha_l| <= 2^-(l-1)
-    row1 = LazyRow(factory,
-                   tail_sq_bound=lambda n: Fraction(4, 3) / 4 ** max(n, 1),
-                   tail_abs_bound=lambda n: Fraction(2, 2 ** max(n, 1)))
-
-    def row(i):
-        if i == 1:
-            return row1
-        if i % 2 == 1:
-            return FiniteRow(((i - 1, _unit()), (i, _unit())))
-        return FiniteRow(((i, _unit()), (i + 1, _unit())))
-
-    def col(k):
-        if k == 1:
-            return FiniteRow(())
-        if k % 2 == 0:
-            return FiniteRow(((1, _exact(alpha(k))), (k, _unit()), (k + 1, _unit())))
-        return FiniteRow(((1, _exact(alpha(k))), (k - 1, _unit()), (k, _unit())))
-
+    alpha = _HUB_ALPHA.get(kind) if isinstance(kind, str) else None
+    if alpha is None:
+        raise InvalidParams("hub_line alpha must be 'generic' or 'paired'")
     meta = FamilyMeta(
         # a self-loop at every vertex >= 2, and vertex 1 feeds them all
         rank=lambda i: INFINITE,
         sup_rank=INFINITE,
         ranks_finite=False,
     )
-    return EvolutionStructure("exact", row, None, col, meta,
-                              source={"kind": "family", "family": "hub_line",
-                                      "params": {"alpha": kind}})
+    # both alpha choices sit under the envelope |alpha_l| <= 2^-(l-1)
+    return _periodic("hub_line", {"alpha": kind}, meta,
+                     (((0, EX_ONE), (1, EX_ONE)),     # even i
+                      ((-1, EX_ONE), (0, EX_ONE))),   # odd i >= 3
+                     hub=(*alpha,
+                          lambda n: Fraction(4, 3) / 4 ** max(n, 1),
+                          lambda n: Fraction(2, 2 ** max(n, 1))))
 
 
 # -- comb --------------------------------------------------------------------
@@ -310,6 +301,9 @@ def _build_hub_line(params: dict) -> EvolutionStructure:
 # Hub h points to the sinks h-1 and h+3 (shared with the next hub) and up to
 # its tooth middle h+1, which points to the top h+2.
 
+_COMB_KINDS = ("top", "sink", "hub", "mid")
+
+
 def comb_hub(k: int) -> int:
     if k < 1:
         raise InvalidParams("hub index starts at 1")
@@ -317,33 +311,12 @@ def comb_hub(k: int) -> int:
 
 
 def comb_vertex_kind(i: int) -> str:
-    return {1: "sink", 2: "hub", 3: "mid", 0: "top"}[i % 4]
+    return _COMB_KINDS[i % 4]
 
 
 def _build_comb(params: dict) -> EvolutionStructure:
     if params:
         raise InvalidParams("comb takes no parameters")
-
-    def row(i):
-        kind = comb_vertex_kind(i)
-        if kind == "hub":
-            return FiniteRow(((i - 1, _unit()), (i + 1, _unit()), (i + 3, _unit())))
-        if kind == "mid":
-            return FiniteRow(((i + 1, _unit()),))
-        return FiniteRow(())
-
-    def col(k):
-        kind = comb_vertex_kind(k)
-        if kind == "sink":
-            if k == 1:
-                return FiniteRow(((2, _unit()),))
-            return FiniteRow(((k - 3, _unit()), (k + 1, _unit())))
-        if kind == "mid":
-            return FiniteRow(((k - 1, _unit()),))
-        if kind == "top":
-            return FiniteRow(((k - 1, _unit()),))
-        return FiniteRow(())  # hubs have no in-edges
-
     rank_by_kind = {"sink": 0, "hub": 2, "mid": 1, "top": 0}
     meta = FamilyMeta(
         rank=lambda i: rank_by_kind[comb_vertex_kind(i)],
@@ -351,9 +324,11 @@ def _build_comb(params: dict) -> EvolutionStructure:
         ranks_finite=True,
         no_window_reentry=True,
     )
-    return EvolutionStructure("exact", row, None, col, meta,
-                              source={"kind": "family", "family": "comb",
-                                      "params": {}})
+    return _periodic("comb", {}, meta,
+                     ((),                                             # top
+                      (),                                             # sink
+                      ((-1, EX_ONE), (1, EX_ONE), (3, EX_ONE)),       # hub
+                      ((1, EX_ONE),)))                                # mid
 
 
 # -- growing teeth -----------------------------------------------------------
@@ -404,23 +379,23 @@ def _build_growing_teeth(params: dict) -> EvolutionStructure:
         k, off = _growing_block(i)
         h = growing_teeth_hub(k)
         if off == 0:
-            return FiniteRow(((h - 1, _unit()), (h + 1, _unit()), (h + k + 1, _unit())))
+            return FiniteRow(((h - 1, EX_ONE), (h + 1, EX_ONE), (h + k + 1, EX_ONE)))
         if off < k:
-            return FiniteRow(((i + 1, _unit()),))
+            return FiniteRow(((i + 1, EX_ONE),))
         return FiniteRow(())  # tooth end or spine sink
 
     def col(i):
         if i == 1:
-            return FiniteRow(((2, _unit()),))
+            return FiniteRow(((2, EX_ONE),))
         k, off = _growing_block(i)
         h = growing_teeth_hub(k)
         if off == 0:
             return FiniteRow(())
         if off == 1:
-            return FiniteRow(((h, _unit()),))
+            return FiniteRow(((h, EX_ONE),))
         if off <= k:
-            return FiniteRow(((i - 1, _unit()),))
-        return FiniteRow(((h, _unit()), (growing_teeth_hub(k + 1), _unit())))
+            return FiniteRow(((i - 1, EX_ONE),))
+        return FiniteRow(((h, EX_ONE), (growing_teeth_hub(k + 1), EX_ONE)))
 
     meta = FamilyMeta(
         rank=growing_teeth_depth,
@@ -454,10 +429,14 @@ def _build_finite_explicit(params: dict) -> EvolutionStructure:
             raise InvalidParams("give 'n' or 'universe', not both")
         uni = params["universe"]
         n = None
-        if isinstance(uni, str) and uni.startswith("finite:"):
+        digits = (uni[len("finite:"):] if isinstance(uni, str)
+                  and uni.startswith("finite:") else "")
+        # ASCII digits alone, the rule of row keys: int() would also take
+        # " 3", "1_0", "+3" and "٣"
+        if digits.isascii() and digits.isdigit():
             try:
-                n = int(uni[len("finite:"):])
-            except ValueError:
+                n = int(digits)
+            except ValueError:  # past the interpreter's int-string limit
                 pass
         if n is None:
             raise InvalidParams(f"'universe' must look like 'finite:N', "

@@ -320,10 +320,6 @@ class EvolutionStructure:
         return row
 
     @property
-    def has_columns(self) -> bool:
-        return self._column_fn is not None
-
-    @property
     def zero_tol(self) -> float:
         """Magnitude up to which a scalar counts as zero: ``tol`` in float
         mode, 0 (literal zero tests) in exact mode."""

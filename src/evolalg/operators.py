@@ -76,10 +76,17 @@ def apply_operator(s: EvolutionStructure, kind: OperatorKind, v: Element,
                    axis="column" if kind.adjoint else "row")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteCertified:
     total: object   # partial sum up to the window (exact in exact mode)
     tail: object    # certified bound on the remainder
+
+    def __init__(self, total, tail):
+        # written out, as FiniteRow's is: a profile of one certificate
+        # names it here, not under the ('<string>', 2, '__init__') label it
+        # would share with BoundCertificate's generated __init__
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "tail", tail)
 
 
 @dataclass(frozen=True)

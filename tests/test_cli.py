@@ -591,6 +591,11 @@ EXPLICIT_REFUSALS = [
     ({"rows": {"\u0661": []}, "n": 2}, "ParseError"),
     ({"rows": {"1" * 5000: []}, "n": 2}, "ParseError"),
     ({"rows": {"-1": []}, "n": 2}, "ValidationError"),
+    # the universe size: ASCII decimal digits after 'finite:', as row keys
+    ({"rows": ROWS, "universe": "finite: 3"}, "InvalidParams"),
+    ({"rows": ROWS, "universe": "finite:1_0"}, "InvalidParams"),
+    ({"rows": ROWS, "universe": "finite:+3"}, "InvalidParams"),
+    ({"rows": ROWS, "universe": "finite:\u0663"}, "InvalidParams"),
 ]
 
 

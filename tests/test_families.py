@@ -206,10 +206,15 @@ def test_tree_label_roundtrip(v, r):
         assert v in rary_children(parent, r)
 
 
-@pytest.mark.parametrize("name", ALL)
-def test_rows_and_columns_transpose_consistently(name):
-    s = build_family(name)
-    window = 40
+@pytest.mark.parametrize("name,params,window", [
+    *((name, {}, 40) for name in ALL),
+    # the columns these params change, over several periods of the rows
+    ("hub_line", {"alpha": "paired"}, 64),
+    ("markov_line", {"ratio": "1/3"}, 64),
+    ("rary_tree", {"r": 3}, 64),
+], ids=[*ALL, "hub_line-paired", "markov_line-third", "rary_tree-3"])
+def test_rows_and_columns_transpose_consistently(name, params, window):
+    s = build_family(name, params)
     from_rows = {}
     for i in range(1, window + 1):
         entries, _, _ = s.row_of(i).upto(window)
@@ -221,6 +226,17 @@ def test_rows_and_columns_transpose_consistently(name):
         for i, w in entries:
             from_cols[(i, k)] = w
     assert from_rows == from_cols
+
+
+def test_far_columns_read_no_row(cap_row_reads):
+    """A column is the row pattern inverted: column 10^6 reads no row, so
+    no lazy row 1 is pulled out to 10^6 entries to find it."""
+    markov = cap_row_reads(build_family("markov_line"), cap=0)
+    assert targets(markov.column_of(10**6)) == [1, 999999]
+    hub = cap_row_reads(build_family("hub_line"), cap=0)
+    col = hub.column_of(10**6)
+    assert targets(col) == [1, 10**6, 10**6 + 1]
+    assert col.entries[0][1].re == Fraction(1, 2**999999)
 
 
 @pytest.mark.parametrize("name", CYCLE_FREE)
