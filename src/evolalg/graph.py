@@ -533,11 +533,12 @@ def descendants_generation(s: EvolutionStructure, vertices: Iterable[int],
 def cycle_search(s: EvolutionStructure, window: int, budget: int):
     """DFS cycle search on the induced window {1..window}.
 
-    `budget` counts row entries enumerated (each row is read once, up to the
-    first entry beyond the window).  Returns ``(path, completed)``: `path` is a vertex cycle ``[v, ..., v]``
-    (first == last) or None, and `completed` says whether the whole window
-    was searched without running out of budget.  A None with
-    ``completed=False`` proves nothing.
+    A window covering a finite universe is read in full; elsewhere `budget`
+    counts row entries enumerated, each row read once up to its first entry
+    beyond the window.  Returns ``(path, completed)``: `path` is a vertex
+    cycle ``[v, ..., v]`` (first == last) or None, and `completed` says
+    whether the whole window was searched.  A None with ``completed=False``
+    proves nothing.
     """
     path, _finished, _targets, completed = window_dfs(s, window, budget)
     return path, completed
@@ -547,9 +548,6 @@ def _universe_targets(s: EvolutionStructure, top: int) -> Optional[list]:
     """The target tuples of a :meth:`~EvolutionStructure.from_rows` table,
     indexed by vertex, when {1..top} is the whole finite universe; None
     otherwise, and then rows are read through ``row_of(v).targets_upto(top)``.
-
-    A whole-universe window clips no row, so reading a vertex from the
-    table enumerates exactly its targets, as ``targets_upto`` counts them.
     """
     return s._targets if top == s.universe else None
 
@@ -569,7 +567,7 @@ def window_dfs(s: EvolutionStructure, window: int, budget: int):
     paths cannot overflow the interpreter stack.
     """
     top = s.window_top(window)
-    left = budget
+    left = INFINITE if top == s.universe else budget
     table = _universe_targets(s, top)
     adjacency: Union[list, dict] = {} if table is None else table
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -579,25 +577,21 @@ def window_dfs(s: EvolutionStructure, window: int, budget: int):
     finished: list[int] = []
 
     def read(v) -> bool:
-        """Charge v's row, max(entries, 1); False, with nothing charged,
+        """Read v's row for max(entries, 1); False, with nothing charged,
         when the budget left cannot pay for it (the search stops there)."""
         nonlocal left
-        if table is None:
-            targets, _, used = s.row_of(v).targets_upto(top)
-        else:
-            used = len(table[v])
+        targets, _, used = s.row_of(v).targets_upto(top)
         used = used or 1
         if used > left:
             return False
         left -= used
-        if table is None:
-            adjacency[v] = targets
+        adjacency[v] = targets
         return True
 
     for start in range(1, top + 1):
         if color[start] != WHITE:
             continue
-        if not read(start):
+        if table is None and not read(start):
             return None, finished, adjacency, False  # budget exhausted
         color[start] = GRAY
         v = start
@@ -624,7 +618,7 @@ def window_dfs(s: EvolutionStructure, window: int, budget: int):
                 v = parent[v]
                 continue
             cursor[v] = i + 1
-            if not read(k):
+            if table is None and not read(k):
                 return None, finished, adjacency, False
             color[k] = GRAY
             parent[k] = v

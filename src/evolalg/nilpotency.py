@@ -22,6 +22,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .algebra import subspace_chain
 from .errors import BudgetZero, InvalidParams
 from .graph import (
     INFINITE,
@@ -228,14 +229,13 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
     finite = s.universe is not None
     if finite:
         window = s.universe
-        entries = window * window + window + 8  # every row read in full
         notes.append("finite universe decided exactly; budget advisory")
     else:
         window = min(budget + 8, WINDOW_CEILING)
-        entries = CLASSIFY_ENTRIES_PER_BUDGET * budget
 
     # Stage 1: oriented cycles decide everything.
-    path, finished, targets, completed = window_dfs(s, window, entries)
+    path, finished, targets, completed = window_dfs(
+        s, window, CLASSIFY_ENTRIES_PER_BUDGET * budget)
     if path is not None:
         w = CycleWitness(tuple(path))
         nil = _no(f"oriented cycle through vertex {path[0]}", w)
@@ -334,25 +334,24 @@ class Blocked:
     vertices: frozenset
 
 
-def triangularize_window(s: EvolutionStructure, window: int,
-                         budget: int = 1 << 20):
+def triangularize_window(s: EvolutionStructure, window: int):
     """Iterated sink-removal on the induced window {1..window}.
 
     A vertex is removable once all its within-window targets are already
-    removed.  Out-of-window targets block removal unless the family metadata
-    promises walks never re-enter the window, or the universe fits inside it.
-    Smallest removable vertex first, so the order is deterministic.  When
-    vertices remain, the same removal runs once more with blocking ignored:
-    an empty remainder gives :class:`Blocked`, otherwise the remainder is a
-    core in which a walk along smallest targets closes a cycle.  Each vertex
-    and edge is handled at most once per pass.
-    `budget` counts row entries enumerated while reading the window's rows;
-    running out raises :class:`BudgetZero`.
+    removed; smallest removable vertex first, so the order is deterministic.
+    Each vertex and edge is handled once, and each row is read up to its
+    first target past the window, so the window bounds the work.
+
+    When every vertex is removed, the removal order is a
+    :class:`Permutation`, unless some rows leave the window: then a walk may
+    re-enter it, and the vertices with such a row, together with the
+    vertices that reach them, are :class:`Blocked`.  Leaving rows block
+    nothing when the universe fits inside the window or the family metadata
+    promises walks never re-enter it.  Otherwise the vertices never removed
+    form a core in which a walk along smallest targets closes a cycle.
     """
     top = s.window_top(window)
-    if budget < 1:
-        raise BudgetZero("triangularize needs a budget >= 1")
-    exempt = (s.universe is not None and s.universe <= window) or (
+    exempt = top == s.universe or (
         s.meta is not None and s.meta.no_window_reentry is True)
 
     # pending[v] counts the targets of v not removed yet (a row's targets
@@ -362,63 +361,45 @@ def triangularize_window(s: EvolutionStructure, window: int,
     pending = [0] * (top + 1)
     stuck = set()
     rev: list = [[] for _ in range(top + 1)]
-    entries_left = budget
     for v in range(1, top + 1):
         if table is None:
-            targets, exhausted, used = s.row_of(v).targets_upto(top)
+            targets, exhausted, _ = s.row_of(v).targets_upto(top)
             targets_of[v] = targets
+            if not exhausted and not exempt:
+                stuck.add(v)
         else:
             targets = table[v]
-            exhausted, used = True, len(targets)
-        entries_left -= used or 1
-        if entries_left < 0:
-            raise BudgetZero(f"row enumeration budget exhausted at vertex {v}")
         if v in targets:
             # self-loop: immediate cycle
             return CycleFound((v, v))
-        if not exhausted and not exempt:
-            stuck.add(v)
         pending[v] = len(targets)
         for t in targets:
             rev[t].append(v)
 
-    done = [False] * (top + 1)
-
-    def drain(blocked):
-        """Remove every vertex whose targets are all removed and which is not
-        blocked, smallest first; return them in removal order."""
-        order = []
-        ready = [v for v in range(1, top + 1)
-                 if not done[v] and not pending[v] and v not in blocked]
-        heapq.heapify(ready)
-        while ready:
-            v = heapq.heappop(ready)
-            done[v] = True
-            order.append(v)
-            for u in rev[v]:
-                pending[u] -= 1
-                if not pending[u] and u not in blocked:
-                    heapq.heappush(ready, u)
-        return order
-
-    order = drain(stuck)
+    order = []
+    ready = [v for v in range(1, top + 1) if not pending[v]]
+    heapq.heapify(ready)
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for u in rev[v]:
+            pending[u] -= 1
+            if not pending[u]:
+                heapq.heappush(ready, u)
     if len(order) == top:
-        return Permutation(tuple(order))
-    remaining = frozenset(v for v in range(1, top + 1) if not done[v])
-    # Drain again ignoring the blockage: whatever survives is a core where
-    # every vertex has an out-edge into the core, which guarantees a
-    # within-window cycle.  An empty core means all blockage is due to edges
-    # leaving the window.
-    drain(())
-    core = [v for v in remaining if not done[v]]
-    if not core:
-        return Blocked(remaining)
-    v = min(core)
+        if not stuck:
+            return Permutation(tuple(order))
+        # the order lists each vertex after its targets
+        blocked = [False] * (top + 1)
+        for v in order:
+            blocked[v] = v in stuck or any(blocked[t] for t in targets_of[v])
+        return Blocked(frozenset(v for v in order if blocked[v]))
+    # the vertices never removed still count a target among themselves
+    v = min(u for u in range(1, top + 1) if pending[u])
     walk = [v]
     seen_at = {v: 0}
     while True:
-        # the targets not removed are the core's
-        nxt = min(t for t in targets_of[v] if not done[t])
+        nxt = min(t for t in targets_of[v] if pending[t])
         if nxt in seen_at:
             cyc = walk[seen_at[nxt]:] + [nxt]
             return CycleFound(tuple(cyc))
@@ -460,8 +441,6 @@ def brute_force_nilpotent(s: EvolutionStructure,
 
     Independent of the graph route: no descendant sets, no cycle search.
     """
-    from .algebra import subspace_chain  # local import avoids a cycle
-
     if s.universe is None:
         raise InvalidParams("brute force needs a finite universe")
     if n_max is None:

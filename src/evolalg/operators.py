@@ -183,7 +183,11 @@ class SchurWeights:
     tail_sup: Optional[Callable[[int], Fraction]] = None
 
 
-ONES = SchurWeights(lambda i: Fraction(1), lambda n: Fraction(1))
+def _one(_i):
+    return Fraction(1)
+
+
+ONES = SchurWeights(_one, _one)
 
 
 def schur_certificate(s: EvolutionStructure, alpha, beta, m1, m2,

@@ -227,13 +227,6 @@ def finite_specs(draw):
     return n, {v: [[t, 1] for t in sorted(ts)] for v, ts in rows.items()}
 
 
-def _triangularized(s, window, budget):
-    try:
-        return triangularize_window(s, window, budget)
-    except BudgetZero as e:
-        return "BudgetZero", str(e)
-
-
 @settings(max_examples=300, deadline=None)
 @given(spec=finite_specs(), data=st.data())
 def test_table_and_row_readers_decide_alike(spec, data):
@@ -253,8 +246,8 @@ def test_table_and_row_readers_decide_alike(spec, data):
     assert {v: targets[v] for v in expected[2]} == expected[2]
     assert cycle_search(s, window, budget) == \
         cycle_search(plain, window, budget)
-    assert _triangularized(s, window, budget) == \
-        _triangularized(plain, window, budget)
+    assert triangularize_window(s, window) == \
+        triangularize_window(plain, window)
     assert classify(s) == classify(plain)
 
 
@@ -277,6 +270,23 @@ def test_whole_universe_decisions_read_no_row(cap_row_reads, cyclic):
     assert type(tri).__name__ == ("CycleFound" if cyclic else "Permutation")
     path, completed = cycle_search(s, n, 8 * n + 8)
     assert completed and (path is not None) == cyclic
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_whole_universe_windows_are_read_in_full(cyclic):
+    # a window covering a finite universe is searched to the end whatever
+    # the budget, through the from_rows table and through row_of alike
+    n = 500
+    s = EvolutionStructure.from_rows(_sparse_rows(n, cyclic), n)
+    plain = EvolutionStructure("exact", row_fn=s.row_of, universe=n)
+    for t in (s, plain):
+        full = window_dfs(t, n, n * n)
+        assert full[3] and (full[0] is not None) == cyclic
+        assert window_dfs(t, n, 1) == full
+        assert cycle_search(t, n, 1) == cycle_search(t, n, n * n) \
+            == (full[0], True)
+    # a partial window is still charged
+    assert cycle_search(s, n - 1, 1) == (None, False)
 
 
 def test_path_is_valid():

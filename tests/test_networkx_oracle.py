@@ -5,7 +5,10 @@ code with evolalg's graph layer: the verdict must match
 networkx's graph.  On an infinite structure without family metadata, the
 long-path evidence of a completed search must be as long as networkx's
 longest path in the window.  Rank witnesses built from networkx's
-longest-path lengths must validate, and overstate no rank."""
+longest-path lengths must validate, and overstate no rank.  A window
+triangularisation must block exactly the rows that leave the window and
+their ancestors, and otherwise remove sinks in networkx's lexicographic
+order."""
 import random
 
 import pytest
@@ -13,6 +16,7 @@ import pytest
 nx = pytest.importorskip("networkx")
 
 from evolalg import (  # noqa: E402  (after the importorskip guard)
+    Blocked,
     EvolutionStructure,
     ExactScalar,
     FiniteRow,
@@ -20,9 +24,12 @@ from evolalg import (  # noqa: E402  (after the importorskip guard)
     IndexExact,
     IndexInfinite,
     LongPath,
+    Permutation,
     UnboundedDepthSequence,
     classify,
+    permutation_is_strictly_lower,
     random_finite_structure,
+    triangularize_window,
     validate_witness,
 )
 from evolalg.graph import WINDOW_CEILING  # noqa: E402
@@ -169,3 +176,38 @@ def test_long_path_evidence_covers_what_an_exhausted_search_finished():
     assert "ran out of budget" in r.nil.reason
     assert r.nil.witness == LongPath(tuple(range(1, 21)))
     assert validate_witness(s, r.nil.witness)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blocked_vertices_against_networkx(seed):
+    # rows of 0, 1 or 2 forward steps: each window is cycle-free, and the
+    # rows that step past it may lead back in, blocking them and whatever
+    # reaches them
+    def steps_of(i):
+        rng = random.Random(seed * 100003 + i)
+        return rng.sample(range(1, 5), rng.choice((0, 0, 1, 2)))
+
+    s = forward_structure(steps_of)
+    seen = set()
+    for window in range(1, 61):
+        g = nx.DiGraph()
+        g.add_nodes_from(range(1, window + 1))
+        leaving = set()
+        for i in range(1, window + 1):
+            for k, _w in s.row_of(i):
+                if k > window:
+                    leaving.add(i)
+                else:
+                    g.add_edge(i, k)
+        res = triangularize_window(s, window)
+        if leaving:
+            blocked = leaving.union(*(nx.ancestors(g, v) for v in leaving))
+            assert res == Blocked(frozenset(blocked))
+            if len(blocked) < window:
+                seen.add("some blocked")
+        else:
+            order = tuple(nx.lexicographical_topological_sort(g.reverse()))
+            assert res == Permutation(order)
+            assert permutation_is_strictly_lower(s, res.order, window)
+            seen.add("none blocked")
+    assert seen == {"none blocked", "some blocked"}

@@ -344,6 +344,20 @@ def test_classify_runs_one_window_search(monkeypatch):
     assert calls == [(24, 64 * 16)]
 
 
+def test_triangularize_reads_a_finite_universe_in_full():
+    # 1450 vertices, each row targeting every smaller vertex: 1,050,525
+    # entries, more than 2**20, in rows that share their entry tuples
+    n = 1450
+    one = shift_pair().row_of(1).entries[0][1]
+    entries = tuple((k, one) for k in range(n))
+    targets = tuple(range(n))
+    s = EvolutionStructure(
+        "exact", lambda i: FiniteRow(entries[1:i], targets[1:i]), universe=n)
+    res = triangularize_window(s, n)
+    assert res == Permutation(tuple(range(1, n + 1)))
+    assert permutation_is_strictly_lower(s, res.order, n)
+
+
 def test_permutation_check_refuses_bad_windows():
     comb = build_family("comb")
     for window in (-5, 0, 10**12):

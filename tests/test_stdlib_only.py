@@ -1,5 +1,7 @@
 """The runtime needs only the standard library: every module of the package
-imports nothing but standard-library modules and the package itself."""
+imports nothing but standard-library modules and the package itself, and
+imports at module level only, so importing the package loads everything it
+needs."""
 import ast
 import sys
 from pathlib import Path
@@ -9,22 +11,40 @@ import evolalg
 PACKAGE = Path(evolalg.__file__).parent
 
 
+def imports(tree):
+    """Every import statement under an AST node."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
 def imports_outside_stdlib(path):
     """`file:line module` for each absolute import in `path` whose top-level
     name is neither in the standard library nor the package."""
     outside = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in imports(parse(path)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module]
         else:
-            continue  # not an import, or a relative one (the package)
+            continue  # a relative import (the package)
         for name in names:
             top = name.split(".")[0]
             if top != "evolalg" and top not in sys.stdlib_module_names:
                 outside.append(f"{path.name}:{node.lineno} {name}")
     return outside
+
+
+def imports_in_bodies(path):
+    """`file:line` for each import inside a function or class body."""
+    bodies = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    lines = {node.lineno for scope in ast.walk(parse(path))
+             if isinstance(scope, bodies) for node in imports(scope)}
+    return [f"{path.name}:{line}" for line in sorted(lines)]
 
 
 def test_package_imports_only_the_standard_library():
@@ -41,3 +61,15 @@ def test_the_guard_sees_third_party_imports(tmp_path):
                      "from evolalg.graph import INFINITE\n")
     assert imports_outside_stdlib(probe) == [
         "probe.py:2 networkx.algorithms", "probe.py:3 sympy"]
+
+
+def test_package_imports_at_module_level_only():
+    assert [hit for path in sorted(PACKAGE.rglob("*.py"))
+            for hit in imports_in_bodies(path)] == []
+
+
+def test_the_guard_sees_imports_in_bodies(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import json\n\n\ndef f():\n    from . import graph\n"
+                     "\n\nclass C:\n    def g(self):\n        import os\n")
+    assert imports_in_bodies(probe) == ["probe.py:5", "probe.py:10"]
