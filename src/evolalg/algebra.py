@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import cmath
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import InfiniteRowReached, InvalidParams, NoTailBound, UniverseNotFinite
 from .graph import WINDOW_CEILING, EvolutionStructure
+from .records import Record
 from .scalars import (
     EX_ZERO,
     abs_sq,
@@ -115,8 +115,7 @@ class Element:
         return "Element({" + body + "})"
 
 
-@dataclass(frozen=True)
-class ApproxElement:
+class ApproxElement(Record):
     """Prefix of a vector supported on {1..cutoff} plus a certified bound on
     the l2 norm of the discarded remainder."""
 
@@ -231,13 +230,11 @@ def principal_power(s: EvolutionStructure, v: Element, n: int,
     return acc
 
 
-@dataclass(frozen=True)
-class NilAt:
+class NilAt(Record):
     n: int
 
 
-@dataclass(frozen=True)
-class NotNilUpTo:
+class NotNilUpTo(Record):
     n_max: int
 
 
@@ -293,8 +290,7 @@ def inner_product(u, v):
     return EX_ZERO
 
 
-@dataclass(frozen=True)
-class BasisTransform:
+class BasisTransform(Record):
     """A banded change of basis: ``forward(i)`` writes the new basis vector
     f_i in natural coordinates, ``inverse(k)`` writes e_k in f-coordinates.
     Supports stay within `band` of the index on both sides."""
@@ -304,13 +300,11 @@ class BasisTransform:
     band: int
 
 
-@dataclass(frozen=True)
-class NaturalOnWindow:
+class NaturalOnWindow(Record):
     window: int
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     i: int
     j: int
     kind: str  # "product" or "inner"

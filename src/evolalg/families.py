@@ -7,7 +7,7 @@ test suite cross-validates them against budgeted search on windows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from math import isqrt, prod
 from typing import Callable, Optional
@@ -21,11 +21,11 @@ from .graph import (
     FiniteRow,
     LazyRow,
 )
+from .records import Record
 from .scalars import EX_INV_SQRT2, EX_ONE, ExactScalar
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     name: str
     params: dict = field(default_factory=dict)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -25,6 +24,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
+from .records import Record
 from .scalars import abs_sq, abs_upper, as_scalar, is_zero, scalar_str
 
 VertexId = int
@@ -75,8 +75,7 @@ def _vertex_key(key, what: str) -> int:
     raise ParseError(f"{what} key {key!r} is not an integer")
 
 
-@dataclass(frozen=True, init=False)
-class FiniteRow:
+class FiniteRow(Record):
     """Fully materialised row; entries strictly increasing by target.
 
     It shares its reading methods with :class:`LazyRow`; each returns what
@@ -90,9 +89,8 @@ class FiniteRow:
 
     def __init__(self, entries: Tuple[Entry, ...],
                  targets: Optional[Tuple[int, ...]] = None):
-        # written out, not generated: one call builds and checks a row, and
-        # a profile names it here, not under the ('<string>', 2, '__init__')
-        # label that every generated dataclass __init__ shares.  Given
+        # written out, not the shared Record.__init__: it checks the target
+        # order and fills the `_targets` slot, which is no field.  Given
         # `targets`, the caller has built and checked them from `entries`.
         if targets is None:
             targets = tuple([k for k, _w in entries])
@@ -243,8 +241,7 @@ class LazyRow:
 Row = Union[FiniteRow, LazyRow]
 
 
-@dataclass(frozen=True)
-class FamilyMeta:
+class FamilyMeta(Record):
     """Analytic facts a family ships with; consumers trust these.
 
     ``rank`` maps a vertex to its rank, the most edges on a walk from it: an
@@ -456,8 +453,7 @@ class EvolutionStructure:
 
 # -- budgeted traversals ----------------------------------------------------
 
-@dataclass(frozen=True)
-class GenerationResult:
+class GenerationResult(Record):
     generation: int
     members: frozenset
     truncated: bool
@@ -638,13 +634,11 @@ def path_is_valid(s: EvolutionStructure, path: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DegreeExact:
+class DegreeExact(Record):
     d: int
 
 
-@dataclass(frozen=True)
-class DegreeAtLeastCap:
+class DegreeAtLeastCap(Record):
     cap: int
 
 

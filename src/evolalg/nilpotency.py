@@ -19,7 +19,7 @@ an infinite ray is reachable from v:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
 from .algebra import subspace_chain
@@ -33,6 +33,7 @@ from .graph import (
     path_is_valid,
     window_dfs,
 )
+from .records import Record
 
 # On an infinite universe classify() searches the window
 # {1..min(budget + 8, WINDOW_CEILING)} for cycles, reading at most
@@ -48,23 +49,20 @@ CLASSIFY_RAY_ROW_SCAN = 64
 # -- witnesses ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(Record):
     """Closed walk with first == last vertex; re-check with validate_witness."""
 
     path: tuple
 
 
-@dataclass(frozen=True)
-class RayPrefix:
+class RayPrefix(Record):
     """Distinct consecutive vertices of an edge walk whose last vertex still
     has an out-edge; evidence for an infinite ray (hence infinite rank)."""
 
     vertices: tuple
 
 
-@dataclass(frozen=True)
-class UnboundedDepthSequence:
+class UnboundedDepthSequence(Record):
     """(vertex, r) pairs with strictly increasing r, each claiming that
     vertex has rank at least r, i.e. D^r(vertex) is nonempty; evidence that
     ranks are finite but not uniformly bounded."""
@@ -72,8 +70,7 @@ class UnboundedDepthSequence:
     pairs: tuple
 
 
-@dataclass(frozen=True)
-class LongPath:
+class LongPath(Record):
     """A longest path among the vertices the window search finished;
     evidence only, certifies nothing."""
 
@@ -110,8 +107,7 @@ def validate_witness(s: EvolutionStructure, witness) -> bool:
 # -- verdicts and reports ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     status: str  # "yes" | "no" | "inconclusive"
     certified: bool
     reason: str
@@ -134,23 +130,19 @@ def _maybe(reason: str, evidence=None) -> Verdict:
     return Verdict("inconclusive", False, reason, evidence)
 
 
-@dataclass(frozen=True)
-class IndexExact:
+class IndexExact(Record):
     n: int
 
 
-@dataclass(frozen=True)
-class IndexAtLeast:
+class IndexAtLeast(Record):
     n: int
 
 
-@dataclass(frozen=True)
-class IndexInfinite:
+class IndexInfinite(Record):
     pass
 
 
-@dataclass(frozen=True)
-class NilpotencyReport:
+class NilpotencyReport(Record):
     nil: Verdict
     nilpotent: Verdict
     index: object  # IndexExact | IndexAtLeast | IndexInfinite | None
@@ -313,21 +305,18 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
 # -- window triangularisation ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """order[t] is the original vertex assigned position t+1; in that order
     the window-restricted weight matrix is strictly lower triangular."""
 
     order: tuple
 
 
-@dataclass(frozen=True)
-class CycleFound:
+class CycleFound(Record):
     path: tuple
 
 
-@dataclass(frozen=True)
-class Blocked:
+class Blocked(Record):
     """No within-window sink remains, but some stuck vertices have out-edges
     leaving the window, so a cycle cannot be inferred."""
 
@@ -427,8 +416,7 @@ def permutation_is_strictly_lower(s: EvolutionStructure, order,
 # -- finite brute force ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BruteForceReport:
+class BruteForceReport(Record):
     dims: tuple
     nilpotent: bool
     index: Optional[int]

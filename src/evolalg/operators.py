@@ -15,13 +15,14 @@ the other hand, only need a partial sum that already violates an inequality.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import Element, _expand
 from .errors import InvalidParams, NoColumnAccess, NoTailBound
 from .graph import EvolutionStructure
+from .records import Record
 from .scalars import (
     abs_lower,
     abs_sq,
@@ -76,21 +77,12 @@ def apply_operator(s: EvolutionStructure, kind: OperatorKind, v: Element,
                    axis="column" if kind.adjoint else "row")
 
 
-@dataclass(frozen=True, init=False)
-class FiniteCertified:
+class FiniteCertified(Record):
     total: object   # partial sum up to the window (exact in exact mode)
     tail: object    # certified bound on the remainder
 
-    def __init__(self, total, tail):
-        # written out, as FiniteRow's is: a profile of one certificate
-        # names it here, not under the ('<string>', 2, '__init__') label it
-        # would share with BoundCertificate's generated __init__
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "tail", tail)
 
-
-@dataclass(frozen=True)
-class PartialSum:
+class PartialSum(Record):
     total: object
 
 
@@ -124,8 +116,7 @@ def summability_check(s: EvolutionStructure, axis: str, index: int, window: int)
     return FiniteCertified(total, tail)
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(Record):
     kind: str                      # "frobenius" | "schur"
     status: str                    # "certified" | "refuted" | "inconclusive"
     bound: Optional[float]         # operator-norm bound when certified
@@ -174,8 +165,7 @@ def _upperize(x) -> Fraction:
     return x.upper()  # Q2
 
 
-@dataclass(frozen=True)
-class SchurWeights:
+class SchurWeights(Record):
     """A positive weight sequence with (optionally) a bound on its sup beyond
     any prefix, needed to certify lazy rows against it."""
 

@@ -32,7 +32,6 @@ unknown key.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 import math
@@ -42,6 +41,7 @@ from .algebra import ApproxElement, Element
 from .errors import ParseError, ValidationError
 from .families import FamilySpec, _build_finite_explicit, build_family
 from .graph import EvolutionStructure, _vertex_key
+from .records import Record
 from .scalars import ExactScalar, Q2, as_scalar, fraction_str, q2_str
 
 # -- structures --------------------------------------------------------------
@@ -160,13 +160,13 @@ def jsonable(x):
         return element_jsonable(x)
     if isinstance(x, enum.Enum):
         return x.value
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+    if isinstance(x, Record):
         out = {"type": type(x).__name__}
-        for f in dataclasses.fields(x):
-            value = getattr(x, f.name)
+        for name in x._fields:
+            value = getattr(x, name)
             if callable(value):
                 continue
-            out[f.name] = jsonable(value)
+            out[name] = jsonable(value)
         return out
     if isinstance(x, (set, frozenset)):
         return sorted(jsonable(v) for v in x)
