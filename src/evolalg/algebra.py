@@ -11,8 +11,6 @@ the l2 norm of everything dropped.
 """
 from __future__ import annotations
 
-import cmath
-import sys
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -20,12 +18,11 @@ from .errors import InfiniteRowReached, InvalidParams, NoTailBound, UniverseNotF
 from .graph import WINDOW_CEILING, EvolutionStructure
 from .records import Record
 from .scalars import (
+    EX_ONE,
     EX_ZERO,
     abs_sq,
     abs_upper,
     conj,
-    is_zero,
-    scalar_one,
     up_float,
     up_sqrt_frac,
 )
@@ -40,12 +37,12 @@ class Element:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict, tol: float = 0.0):
+    def __init__(self, coeffs: dict):
         clean = {}
         for k, v in coeffs.items():
             if not isinstance(k, int) or k < 1:
                 raise InvalidParams(f"bad vertex id {k!r}")
-            if not is_zero(v, tol):
+            if v:
                 clean[k] = v
         object.__setattr__(self, "coeffs", clean)
 
@@ -61,8 +58,8 @@ class Element:
         return cls({})
 
     @classmethod
-    def basis(cls, i: int, mode: str = "exact") -> "Element":
-        return cls({i: scalar_one(mode)})
+    def basis(cls, i: int) -> "Element":
+        return cls({i: EX_ONE})
 
     def items(self):
         return sorted(self.coeffs.items())
@@ -70,10 +67,8 @@ class Element:
     def support(self):
         return tuple(sorted(self.coeffs))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return not self.coeffs
-        return all(is_zero(v, tol) for v in self.coeffs.values())
+    def is_zero(self) -> bool:
+        return not self.coeffs
 
     def __add__(self, other: "Element") -> "Element":
         out = dict(self.coeffs)
@@ -91,7 +86,7 @@ class Element:
         return Element({k: -v for k, v in self.coeffs.items()})
 
     def scale(self, c) -> "Element":
-        if is_zero(c):
+        if not c:
             return Element.zero()
         return Element({k: c * v for k, v in self.coeffs.items()})
 
@@ -150,9 +145,7 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
     per such line plus the norm of whatever finite-line mass lies beyond the
     cutoff.  `weight` maps each line weight before it is scaled;
     ``l2_tail=False`` declares that mapped lines have no square-summable
-    tail, so truncating one raises NoTailBound.  In float mode a coefficient
-    that overflowed (to inf, or to NaN by inf - inf) raises InvalidParams.
-    On an infinite universe a cutoff above WINDOW_CEILING is refused with
+    tail, so truncating one raises NoTailBound.  On an infinite universe a cutoff above WINDOW_CEILING is refused with
     InvalidParams: a lazy line caches every entry up to the cutoff.
     """
     if s.universe is None and cutoff is not None and cutoff > WINDOW_CEILING:
@@ -162,7 +155,7 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
     tail_bound = Fraction(0)
     approx = False
     for i, c, line in terms:
-        if is_zero(c):
+        if not c:
             continue
         entries, exhausted = line.prefix(cutoff)
         if not exhausted:
@@ -176,11 +169,7 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
         for k, w in entries:
             cw = c * (w if weight is None else weight(w))
             acc[k] = acc[k] + cw if k in acc else cw
-    if s.mode == "float" and not all(map(cmath.isfinite, acc.values())):
-        raise InvalidParams(
-            f"a float coefficient exceeds the largest double, "
-            f"{sys.float_info.max!r} (sys.float_info.max)")
-    result = Element(acc, s.zero_tol)
+    result = Element(acc)
     if not approx:
         return result
     kept = {k: w for k, w in result.coeffs.items() if k <= cutoff}
@@ -192,7 +181,7 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
 
 def square_basis(s: EvolutionStructure, i: int, cutoff: Optional[int] = None):
     """The square of the i-th natural basis vector, i.e. row i as an element."""
-    return _expand(s, ((i, scalar_one(s.mode), s.row_of(i)),), cutoff)
+    return _expand(s, ((i, EX_ONE, s.row_of(i)),), cutoff)
 
 
 def multiply(s: EvolutionStructure, u: Element, v: Element,
@@ -247,16 +236,15 @@ def nil_witness_search(s: EvolutionStructure, v: Element, n_max: int):
     """
     if n_max < 2:
         raise InvalidParams("n_max must be >= 2")
-    tol = s.zero_tol
     power = v
-    if power.is_zero(tol):
+    if power.is_zero():
         return NilAt(1)
     for n in range(2, n_max + 1):
         try:
             power = multiply(s, power, v)
         except NoTailBound as e:
             raise InfiniteRowReached(str(e)) from e
-        if power.is_zero(tol):
+        if power.is_zero():
             return NilAt(n)
     return NotNilUpTo(n_max)
 
@@ -277,17 +265,10 @@ def inner_product(u, v):
         bound = up_float(Fraction(v.tail_norm_bound)
                          * up_sqrt_frac(u.norm_sq()))
         return val, bound
-    total = None
+    total = EX_ZERO
     for k in sorted(set(u.coeffs) & set(v.coeffs)):
-        t = u.coeffs[k] * conj(v.coeffs[k])
-        total = t if total is None else total + t
-    if total is not None:
-        return total
-    # empty overlap: zero of the right scalar type
-    for e in (u, v):
-        if e.coeffs:
-            return next(iter(e.coeffs.values())) * 0
-    return EX_ZERO
+        total += u.coeffs[k] * conj(v.coeffs[k])
+    return total
 
 
 class BasisTransform(Record):
@@ -320,15 +301,14 @@ def verify_natural_basis(s: EvolutionStructure, t: BasisTransform, window: int):
     """
     if window < 1:
         raise InvalidParams("window must be >= 1")
-    tol = s.zero_tol
     cache = {i: t.forward(i) for i in range(1, window + 1)}
     for i in range(1, window + 1):
         for j in range(i + 1, min(window, i + 2 * t.band) + 1):
             prod = multiply(s, cache[i], cache[j])
-            if isinstance(prod, Element) and not prod.is_zero(tol):
+            if isinstance(prod, Element) and not prod.is_zero():
                 return Violation(i, j, "product", prod)
             ip = inner_product(cache[i], cache[j])
-            if not is_zero(ip, tol):
+            if ip:
                 return Violation(i, j, "inner", ip)
     return NaturalOnWindow(window)
 
@@ -341,20 +321,20 @@ def transform_element(elem: Element, t: BasisTransform) -> Element:
     return out
 
 
-def verify_transform_inverse(t: BasisTransform, window: int, mode: str = "exact") -> bool:
+def verify_transform_inverse(t: BasisTransform, window: int) -> bool:
     """forward o inverse == identity on {1..window}."""
     for i in range(1, window + 1):
         acc = Element.zero()
         for j, c in t.inverse(i).items():
             acc = acc + t.forward(j).scale(c)
-        if acc != Element.basis(i, mode):
+        if acc != Element.basis(i):
             return False
     return True
 
 
 # -- exact linear algebra (small finite universes) ---------------------------
 
-def _reduce_basis(vectors, tol: float = 0.0):
+def _reduce_basis(vectors):
     """Row-reduce sparse vectors over the scalar field; returns a pivot basis."""
     pivots: dict[int, Element] = {}
     for vec in vectors:
@@ -366,13 +346,8 @@ def _reduce_basis(vectors, tol: float = 0.0):
             lead = sup[0]
             if lead in pivots:
                 cur = cur - pivots[lead].scale(cur.coeffs[lead])
-                if tol:
-                    cur = Element(cur.coeffs, tol)
                 continue
-            inv_lead = cur.coeffs[lead]
-            pivots[lead] = cur.scale(
-                1 / inv_lead if isinstance(inv_lead, complex)
-                else scalar_one("exact") / inv_lead)
+            pivots[lead] = cur.scale(EX_ONE / cur.coeffs[lead])
             break
     return [pivots[k] for k in sorted(pivots)]
 
@@ -394,8 +369,7 @@ def subspace_chain(s: EvolutionStructure, n_max: int):
     if n_max > POWER_CEILING:
         raise InvalidParams(f"n_max {n_max} exceeds the ceiling "
                             f"POWER_CEILING = {POWER_CEILING}")
-    tol = s.zero_tol
-    basis_vectors = [Element.basis(i, s.mode) for i in range(1, n + 1)]
+    basis_vectors = [Element.basis(i) for i in range(1, n + 1)]
     dims = [n]
     current = basis_vectors
     for _ in range(2, n_max + 1):
@@ -403,7 +377,7 @@ def subspace_chain(s: EvolutionStructure, n_max: int):
         for x in current:
             for e in basis_vectors:
                 products.append(multiply(s, x, e))
-        current = _reduce_basis(products, tol)
+        current = _reduce_basis(products)
         dims.append(len(current))
         if dims[-1] == dims[-2]:
             # A^<k+1> <= A^<k>, so equal dims give A^<k+2> = A^<k>*A = A^<k+1>

@@ -163,7 +163,7 @@ def _cmd_index(args):
 
 def _cmd_power(args):
     s = _load_structure(args)
-    elem = parse_element(args.element, s.mode)
+    elem = parse_element(args.element)
     result = principal_power(s, elem, args.n, cutoff=args.cutoff)
     params = {"n": args.n, "cutoff": args.cutoff,
               "element": element_jsonable(elem)}
@@ -172,7 +172,7 @@ def _cmd_power(args):
 
 def _cmd_apply(args):
     s = _load_structure(args)
-    vec = parse_element(args.vector, s.mode)
+    vec = parse_element(args.vector)
     result = apply_operator(s, OperatorKind(args.op), vec, cutoff=args.cutoff)
     params = {"op": args.op, "cutoff": args.cutoff,
               "vector": element_jsonable(vec)}

@@ -108,7 +108,7 @@ def _build_rary_tree(params: dict) -> EvolutionStructure:
         ranks_finite=False,
         no_window_reentry=True,
     )
-    return EvolutionStructure("exact", row, None, col, meta,
+    return EvolutionStructure(row, None, col, meta,
                               source={"kind": "family", "family": "rary_tree",
                                       "params": {"r": r}})
 
@@ -181,7 +181,7 @@ def _periodic(name: str, params: dict, meta: FamilyMeta, pattern,
             entries.insert(0, (1, hub_weight(k)))
         return FiniteRow(tuple(entries))
 
-    return EvolutionStructure("exact", row, None, col, meta,
+    return EvolutionStructure(row, None, col, meta,
                               source={"kind": "family", "family": name,
                                       "params": params})
 
@@ -403,21 +403,21 @@ def _build_growing_teeth(params: dict) -> EvolutionStructure:
         ranks_finite=True,
         no_window_reentry=True,
     )
-    return EvolutionStructure("exact", row, None, col, meta,
+    return EvolutionStructure(row, None, col, meta,
                               source={"kind": "family", "family": "growing_teeth",
                                       "params": {}})
 
 
 # -- explicit finite ---------------------------------------------------------
 
-_EXPLICIT_KEYS = ("rows", "n", "universe", "mode", "tol")
+_EXPLICIT_KEYS = ("rows", "n", "universe", "mode")
 
 
 def _build_finite_explicit(params: dict) -> EvolutionStructure:
     """The finite structure of an explicit spec, ``{"rows": ..., "n": N,
-    "mode": ..., "tol": ...}``, where ``"universe": "finite:N"`` may stand
-    for ``"n": N``.  Both spellings, a ``{"rows": ...}`` spec and this
-    family's params, are read here; ``from_rows`` checks mode and tol."""
+    "mode": "exact"}``, where ``"universe": "finite:N"`` may stand for
+    ``"n": N``.  Both spellings, a ``{"rows": ...}`` spec and this family's
+    params, are read here; ``from_rows`` checks the mode."""
     stray = [k for k in params if k not in _EXPLICIT_KEYS]
     if stray:
         raise InvalidParams(f"unknown key {stray[0]!r} in an explicit spec; "
@@ -447,8 +447,7 @@ def _build_finite_explicit(params: dict) -> EvolutionStructure:
         raise InvalidParams("an explicit spec needs 'n' or 'universe': "
                             "'finite:N'")
     return EvolutionStructure.from_rows(params["rows"], n,
-                                        params.get("mode", "exact"),
-                                        params.get("tol", 1e-12))
+                                        params.get("mode", "exact"))
 
 
 _BUILDERS: dict[str, Callable[[dict], EvolutionStructure]] = {
@@ -472,8 +471,8 @@ FAMILY_DOCS = {
                 "{generic, paired})",
     "comb": "spine of hubs with two-step teeth (no params)",
     "growing_teeth": "spine of hubs with teeth of growing length (no params)",
-    "finite_explicit": "finite structure from explicit rows (params: rows, n, "
-                       "mode, tol)",
+    "finite_explicit": "finite structure from explicit rows with exact "
+                       "weights (params: rows, n, mode)",
 }
 
 

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .records import Record
-from .scalars import abs_sq, abs_upper, as_scalar, is_zero, scalar_str
+from .scalars import _QUOTE_ADVICE, abs_sq, abs_upper, as_scalar, scalar_str
 
 VertexId = int
 Entry = Tuple[VertexId, object]  # (target, weight)
@@ -268,31 +268,22 @@ class EvolutionStructure:
 
     ``universe`` is the number of vertices for finite structures and None for
     the countable case.  ``row_fn``/``column_fn`` return :class:`FiniteRow`
-    or :class:`LazyRow`; columns are optional.  ``mode`` is "exact" or
-    "float"; ``tol`` is the float-mode zero tolerance.
+    or :class:`LazyRow`; columns are optional.  Weights are exact scalars.
     """
 
-    def __init__(self, mode: str, row_fn: Callable[[int], Row],
+    def __init__(self, row_fn: Callable[[int], Row],
                  universe: Optional[int] = None,
                  column_fn: Optional[Callable[[int], Row]] = None,
                  meta: Optional[FamilyMeta] = None,
-                 tol: float = 1e-12,
                  source: Optional[dict] = None):
-        if mode not in ("exact", "float"):
-            raise InvalidParams(f"unknown mode {mode!r}")
         if universe is not None and universe < 1:
             raise InvalidParams("finite universe must have n >= 1")
         if universe is not None and universe > UNIVERSE_CEILING:
             raise InvalidParams(f"finite universe of size {universe} exceeds "
                                 f"the ceiling UNIVERSE_CEILING = "
                                 f"{UNIVERSE_CEILING}")
-        if type(tol) not in (int, float) or not 0 <= tol < math.inf:
-            raise InvalidParams(f"tol must be a finite number >= 0, "
-                                f"got {tol!r}")
-        self.mode = mode
         self.universe = universe
         self.meta = meta
-        self.tol = tol
         self.source = source or {}
         self._row_fn = row_fn
         self._column_fn = column_fn
@@ -315,12 +306,6 @@ class EvolutionStructure:
             row = self._row_fn(i)
             self._rows[i] = row
         return row
-
-    @property
-    def zero_tol(self) -> float:
-        """Magnitude up to which a scalar counts as zero: ``tol`` in float
-        mode, 0 (literal zero tests) in exact mode."""
-        return self.tol if self.mode == "float" else 0.0
 
     def clip(self, window: int) -> int:
         """The last vertex of the window {1..window} that exists."""
@@ -348,12 +333,14 @@ class EvolutionStructure:
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def from_rows(cls, rows: dict, n: int, mode: str = "exact",
-                  tol: float = 1e-12) -> "EvolutionStructure":
+    def from_rows(cls, rows: dict, n: int,
+                  mode: str = "exact") -> "EvolutionStructure":
         """Finite structure from explicit rows ``{i: [[target, weight] or
         [target, re, im], ...]}``; keys are ints or decimal strings.
 
-        ``n``, mode and tol are checked before any weight is read.  One
+        ``n`` and ``mode`` are checked before any weight is read; "exact",
+        the only mode, is accepted so that specs naming it keep working,
+        and any other is refused with the advice to quote weights.  One
         pass then reads each entry once: its target, checked to be an int
         above the one before it, and its weight, by :func:`as_scalar`.
         Each distinct weight literal (an int or a string) is converted and
@@ -367,7 +354,7 @@ class EvolutionStructure:
         built on the first ``column_of``.
         """
         # literal -> its nonzero scalar; keyed by exact type only, since
-        # 1 == 1.0 == True == Fraction(1) while exact mode refuses 1.0 and True
+        # 1 == 1.0 == True == Fraction(1) while 1.0 and True are refused
         scalars: dict = {}
         empty = FiniteRow((), ())
         columns: Optional[dict] = None
@@ -389,8 +376,10 @@ class EvolutionStructure:
         if type(n) is not int:  # None would make the universe infinite
             raise InvalidParams(f"the universe size n must be an integer, "
                                 f"got {n!r}")
-        s = cls(mode, row_fn=row_fn, universe=n,
-                column_fn=column_fn, tol=tol)
+        if mode != "exact":
+            raise InvalidParams(f"mode {mode!r} is not supported: weights "
+                                f"are exact; {_QUOTE_ADVICE}")
+        s = cls(row_fn=row_fn, universe=n, column_fn=column_fn)
         if not isinstance(rows, dict):
             raise ParseError("'rows' must be an object mapping vertex -> "
                              "entries")
@@ -427,8 +416,8 @@ class EvolutionStructure:
                     key = raw if type(raw) in _LITERALS else None
                     w = scalars.get(key)
                     if w is None:
-                        w = as_scalar(raw, mode)
-                        if is_zero(w, tol):  # exact scalars ignore tol
+                        w = as_scalar(raw)
+                        if not w:
                             raise ValidationError(
                                 f"zero weight on edge to {k}")
                         if key is not None:
@@ -445,7 +434,7 @@ class EvolutionStructure:
             targets_of[i] = tuple([k for k, _w in converted])
         s._targets = targets_of
         # a row given empty is (), not None, so it stays listed
-        s.source = {"kind": "explicit", "mode": mode, "n": n,
+        s.source = {"kind": "explicit", "mode": "exact", "n": n,
                     "rows": {i: entries for i, entries in enumerate(table)
                              if entries is not None}}
         return s
@@ -629,7 +618,7 @@ def path_is_valid(s: EvolutionStructure, path: Sequence[int]) -> bool:
     for u, v in zip(path, path[1:]):
         entries, _, _ = s.row_of(u).upto(v)
         hit = [w for k, w in entries if k == v]
-        if not hit or is_zero(hit[0], s.zero_tol):
+        if not hit or not hit[0]:
             return False
     return True
 

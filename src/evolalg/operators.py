@@ -23,15 +23,8 @@ from .algebra import Element, _expand
 from .errors import InvalidParams, NoColumnAccess, NoTailBound
 from .graph import EvolutionStructure
 from .records import Record
-from .scalars import (
-    abs_lower,
-    abs_sq,
-    abs_upper,
-    conj,
-    scalar_one,
-    scalar_zero,
-    up_sqrt,
-)
+from .scalars import (EX_ONE, EX_ZERO, abs_lower, abs_sq, abs_upper, conj,
+                      up_sqrt)
 
 # left_mult_bound reads rows up to this vertex, then defers to tail bounds.
 _LEFT_MULT_WINDOW = 256
@@ -52,12 +45,11 @@ class OperatorKind(enum.Enum):
         return self in (OperatorKind.GAMMA, OperatorKind.ADJ_T)
 
 
-def _weight_map(kind: OperatorKind, mode: str):
+def _weight_map(kind: OperatorKind):
     """What `kind` makes of each line weight; None leaves it as it is."""
     if kind.weighted:
         return conj if kind.adjoint else None
-    unit = conj(scalar_one(mode)) if kind.adjoint else scalar_one(mode)
-    return lambda w: unit
+    return lambda w: EX_ONE
 
 
 def apply_operator(s: EvolutionStructure, kind: OperatorKind, v: Element,
@@ -73,12 +65,12 @@ def apply_operator(s: EvolutionStructure, kind: OperatorKind, v: Element,
         kind = OperatorKind(kind)
     line_of = s.column_of if kind.adjoint else s.row_of
     return _expand(s, ((i, c, line_of(i)) for i, c in v.items()), cutoff,
-                   _weight_map(kind, s.mode), l2_tail=kind.weighted,
+                   _weight_map(kind), l2_tail=kind.weighted,
                    axis="column" if kind.adjoint else "row")
 
 
 class FiniteCertified(Record):
-    total: object   # partial sum up to the window (exact in exact mode)
+    total: object   # partial sum up to the window, exact
     tail: object    # certified bound on the remainder
 
 
@@ -254,7 +246,7 @@ def _schur_line_sum(line, weights: SchurWeights, window: int):
 
 
 def adjoint_pairing_residual(s: EvolutionStructure, i: int, v: Element):
-    """<Omega delta_i, v> - <delta_i, Gamma v>; exactly zero in exact mode.
+    """<Omega delta_i, v> - <delta_i, Gamma v>; exactly zero.
 
     The left side only needs row i at the support of v, so it is computable
     even for infinite rows; the right side exercises the column access.
@@ -273,9 +265,8 @@ def adjoint_pairing_residual(s: EvolutionStructure, i: int, v: Element):
     rhs = None
     if i in gamma_v.coeffs:
         rhs = conj(gamma_v.coeffs[i])
-    zero = scalar_zero(s.mode)
-    lhs = zero if lhs is None else lhs
-    rhs = zero if rhs is None else rhs
+    lhs = EX_ZERO if lhs is None else lhs
+    rhs = EX_ZERO if rhs is None else rhs
     return lhs - rhs
 
 
@@ -302,9 +293,8 @@ def matrix_window(s: EvolutionStructure, kind: OperatorKind, n: int):
     if not isinstance(kind, OperatorKind):
         kind = OperatorKind(kind)
     top = s.window_top(n)
-    zero = scalar_zero(s.mode)
-    mat = [[zero] * top for _ in range(top)]
-    weight = _weight_map(kind, s.mode)
+    mat = [[EX_ZERO] * top for _ in range(top)]
+    weight = _weight_map(kind)
     for i in range(1, top + 1):
         entries, _, _ = s.row_of(i).upto(top)
         for k, w in entries:

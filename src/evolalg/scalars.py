@@ -1,6 +1,6 @@
-"""Scalar arithmetic for the two computation modes.
+"""Scalar arithmetic in the field Q(sqrt2, i), the one scalar type.
 
-Exact mode works in the field Q(sqrt2, i), on integers over one
+Every weight and coefficient is exact, kept as integers over one
 denominator.  An ``ExactScalar`` is (p + q*sqrt2 + (r + s*sqrt2)*i) / d and
 a ``Q2`` is (p + q*sqrt2) / d, with d > 0 and the gcd of all components 1,
 so every value has one form: ``==`` compares integers, and +, -, * are
@@ -12,16 +12,14 @@ appear after normalising a change of basis, and it is closed under +, -, *,
 ``Fraction``, both classes are immutable by convention: the integer slots
 are private and nothing in the package assigns them after construction.
 
-Float mode uses the builtin ``complex`` (binary64 pairs).  Comparisons in
-float mode go through a caller-supplied tolerance; exact mode compares
-literally.
+Decimal input is read exactly: "0.1" is 1/10.  A JSON float is refused,
+since it holds the binary64 rounding of the number written, not the number.
 
 Norm-like quantities (tail bounds, operator bounds) are kept rigorous: when
 we must round, we round *up*, so every reported bound is a true upper bound.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import re
 import sys
@@ -29,7 +27,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from .errors import InvalidParams, ParseError, ValidationError
+from .errors import InvalidParams, ParseError
 
 # Rational brackets for sqrt2, accurate to 1e-30.  Used when a Q2 value has
 # to be bounded by rationals (e.g. inside certified tail computations).
@@ -37,7 +35,6 @@ _S2_SCALE = 10**30
 _S2_FLOOR = isqrt(2 * _S2_SCALE * _S2_SCALE)
 SQRT2_LO = Fraction(_S2_FLOOR, _S2_SCALE)
 SQRT2_HI = Fraction(_S2_FLOOR + 1, _S2_SCALE)
-_SQRT2_FLOAT = math.sqrt(2)
 
 _FracLike = Union[int, Fraction, str]
 _new = object.__new__
@@ -280,10 +277,6 @@ class Q2:
                     return cand
         return None
 
-    def __float__(self):
-        # int / int rounds correctly, as float(Fraction(p, d)) does
-        return self._p / self._d + self._q / self._d * _SQRT2_FLOAT
-
     def __repr__(self):
         return f"Q2({self.a!r}, {self.b!r})"
 
@@ -506,11 +499,6 @@ class ExactScalar:
             return hash((self._p, self._q, self._r, self._s, self._d))
         return _real_hash(self._p, self._q, self._d)
 
-    def __complex__(self):
-        d = self._d
-        return complex(self._p / d + self._q / d * _SQRT2_FLOAT,
-                       self._r / d + self._s / d * _SQRT2_FLOAT)
-
     def __repr__(self):
         return f"ExactScalar({self.re!r}, {self.im!r})"
 
@@ -539,114 +527,77 @@ EX_SQRT2 = ExactScalar(Q2_SQRT2)
 EX_INV_SQRT2 = ExactScalar(Q2(0, Fraction(1, 2)))  # 1/sqrt2 == sqrt2/2
 
 
-Scalar = Union[ExactScalar, complex]
+_QUOTE_ADVICE = 'quote each weight as a string, such as "0.5", "1/2" or ' \
+    '["0.25", "-1.5"]'
 
 
-def _real(x, exact: bool):
-    """A real part of a weight: a Q2 when ``exact``, else a float."""
+def _real(x) -> Q2:
+    """The Q2 that a real part of a weight denotes."""
     t = type(x)
     try:
         if t is str:
-            return q2_parse(x) if exact else float(_fraction(x))
+            return q2_parse(x)
         if t is int or t is Fraction:
-            return Q2(x) if exact else float(x)
-        if t is (Q2 if exact else float):
+            return Q2(x)
+        if t is Q2:
             return x
-    except (ValueError, ZeroDivisionError, OverflowError) as e:
-        raise ParseError(f"cannot read {x!r} as "
-                         f"{'an exact number' if exact else 'a float'}") from e
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"cannot read {x!r} as an exact number") from e
     if t is float:
-        raise ParseError(f"float {x!r} in exact mode; quote a rational "
-                         f"string or switch to mode 'float'")
-    raise ParseError(f"cannot read {x!r} as "
-                     f"{'an exact number' if exact else 'a float'}")
+        raise ParseError(f"float {x!r} is not read exactly; {_QUOTE_ADVICE}")
+    raise ParseError(f"cannot read {x!r} as an exact number")
 
 
-def as_scalar(value, mode: str):
-    """The scalar of ``mode`` that a weight denotes; every row weight and
-    element coefficient is converted here, once.
+def as_scalar(value) -> ExactScalar:
+    """The scalar that a weight denotes; every row weight and element
+    coefficient is converted here, once.
 
-    Exact mode reads ints, rational strings ("1/2", "1/3+1/2*sqrt2"),
-    ``Fraction``, ``Q2`` and ``ExactScalar``; float mode reads ints, floats,
-    rational strings, ``Fraction`` and ``complex``.  Either reads an
+    Reads ints, rational or decimal strings ("1/2", "0.1", "1e-3",
+    "1/3+1/2*sqrt2"), ``Fraction``, ``Q2``, ``ExactScalar`` and an
     ``[re, im]`` pair of real values.  ParseError for a value that cannot be
-    read (a bool, a float in exact mode, a string past the float range);
-    ValidationError for a float-mode value that is not finite.
+    read exactly, such as a bool or a float.
     """
-    exact = mode == "exact"
-    if not exact and mode != "float":
-        raise InvalidParams(f"unknown mode {mode!r}")
     t = type(value)
     if t is list or t is tuple:
         if len(value) != 2:
             raise ParseError(f"complex values are [re, im], got {value!r}")
-        re, im = _real(value[0], exact), _real(value[1], exact)
-        z = ExactScalar(re, im) if exact else complex(re, im)
-    elif t is (ExactScalar if exact else complex):
-        z = value
-    else:
-        r = _real(value, exact)
-        z = ExactScalar(r) if exact else complex(r)
-    if exact or cmath.isfinite(z):
-        return z
-    raise ValidationError(f"weight {value!r} is not finite")
-
-
-def scalar_zero(mode: str):
-    return EX_ZERO if mode == "exact" else 0j
-
-
-def scalar_one(mode: str):
-    return EX_ONE if mode == "exact" else 1 + 0j
+        return ExactScalar(_real(value[0]), _real(value[1]))
+    if t is ExactScalar:
+        return value
+    return ExactScalar(_real(value))
 
 
 def conj(x):
     return x.conjugate()
 
 
-def abs_sq(x):
-    """|x|^2 exactly: a Q2 (exact mode) or a Fraction (float mode)."""
-    if isinstance(x, ExactScalar):
-        return x.abs_sq()
-    return Fraction(x.real) ** 2 + Fraction(x.imag) ** 2
+def abs_sq(x: ExactScalar) -> Q2:
+    """|x|^2, exactly."""
+    return x.abs_sq()
 
 
-def abs_upper(x) -> Fraction:
-    """Rational upper bound on |x|, valid in either mode."""
-    if isinstance(x, ExactScalar):
-        r = x.abs_exact()
-        if r is not None:
-            return r.upper()
-        return up_sqrt_frac(x.abs_sq().upper())
-    return up_sqrt_frac(abs_sq(x))
+def abs_upper(x: ExactScalar) -> Fraction:
+    """Rational upper bound on |x|."""
+    r = x.abs_exact()
+    if r is not None:
+        return r.upper()
+    return up_sqrt_frac(x.abs_sq().upper())
 
 
-def abs_lower(x) -> Fraction:
+def abs_lower(x: ExactScalar) -> Fraction:
     """Rational lower bound on |x| (exact for rational magnitudes)."""
-    if isinstance(x, ExactScalar):
-        r = x.abs_exact()
-        if r is not None:
-            return r.lower()
-        lo = x.abs_sq().lower()
-        return down_sqrt_frac(lo if lo >= 0 else Fraction(0))
-    return down_sqrt_frac(abs_sq(x))
+    r = x.abs_exact()
+    if r is not None:
+        return r.lower()
+    lo = x.abs_sq().lower()
+    return down_sqrt_frac(lo if lo >= 0 else Fraction(0))
 
 
-def is_zero(x, tol: float = 0.0) -> bool:
-    if isinstance(x, ExactScalar):
-        return not x
-    return abs(x) <= tol
-
-
-def scalar_str(x) -> str:
+def scalar_str(x: ExactScalar) -> str:
     """Human/DOT rendering of a scalar."""
-    if isinstance(x, ExactScalar):
-        if not (x._r or x._s):
-            return q2_str(x.re)
-        return f"({q2_str(x.re)})+({q2_str(x.im)})i"
-    if x.imag == 0:
-        return format(x.real, ".17g")
-    return f"({format(x.real, '.17g')})+({format(x.imag, '.17g')})i"
+    if not (x._r or x._s):
+        return q2_str(x.re)
+    return f"({q2_str(x.re)})+({q2_str(x.im)})i"
 
 
 def _sqrt_double(x, up: bool) -> Fraction:

@@ -3,32 +3,29 @@
 Input spec (one JSON object), a family reference or explicit finite rows:
 
     {"family": "<name>", "params": {...}}
-    {"rows": {"1": [[2, "1/2"], [3, ["0", "1"]]]}, "n": 3,
-     "mode": "exact", "tol": 1e-12}
+    {"rows": {"1": [[2, "1/2"], [3, ["0", "1"]]]}, "n": 3, "mode": "exact"}
 
 An explicit spec takes the keys ``rows``, ``n`` (an integer >= 1) or
-``"universe": "finite:N"`` in its place, ``mode`` ("exact", the default, or
-"float") and ``tol`` (a finite number >= 0, default 1e-12, the float-mode
-zero tolerance).  It is read by one routine whichever way it comes, as a
-``{"rows": ...}`` spec or as the params of the ``finite_explicit`` family.
+``"universe": "finite:N"`` in its place, and ``mode``, which may only be
+"exact", the default.  It is read by one routine whichever way it comes, as
+a ``{"rows": ...}`` spec or as the params of the ``finite_explicit`` family.
 
 Row entries are ``[target, weight]`` or ``[target, re, im]``; weights are
-integers, rational strings ("1/2", "1/3+1/2*sqrt2"), or ``[re, im]`` pairs.
-Plain floats are only accepted in float mode; exact mode rejects them rather
-than silently converting.  Every weight is converted once, by
-:func:`~evolalg.scalars.as_scalar`.
+integers, rational or decimal strings ("1/2", "0.1", "1/3+1/2*sqrt2"), or
+``[re, im]`` pairs, and each is read exactly.  A JSON float is refused
+rather than read as its binary64 rounding.  Every weight is converted once,
+by :func:`~evolalg.scalars.as_scalar`.
 
 Elements use the same weight forms: ``[[vertex, weight], ...]`` or
 ``[[vertex, re, im], ...]`` or an object ``{"vertex": weight}``.
 
 Errors: ParseError for a value that cannot be read (text that is not JSON,
 a row that is not a list, a row or element key that is not decimal digits
-with an optional leading '-', a bool or a float in exact mode as a weight);
+with an optional leading '-', a bool or a float as a weight);
 ValidationError for a value that reads but breaks a rule (a zero weight, a
-float weight that is not finite, a target out of order or outside the
-universe, a vertex given twice, an element vertex id below 1);
-InvalidParams for a bad ``n``, ``universe``, ``mode`` or ``tol`` and for an
-unknown key.
+target out of order or outside the universe, a vertex given twice, an
+element vertex id below 1); InvalidParams for a bad ``n`` or ``universe``,
+a ``mode`` other than "exact", and an unknown key.
 """
 from __future__ import annotations
 
@@ -83,7 +80,7 @@ def parse_structure(spec) -> EvolutionStructure:
 def serialize_structure(s: EvolutionStructure) -> dict:
     """Report-side description: the source spec plus mode and universe."""
     return {
-        "mode": s.mode,
+        "mode": "exact",
         "universe": s.universe,
         "source": jsonable(s.source if s.source is not None else {"kind": "opaque"}),
     }
@@ -92,7 +89,7 @@ def serialize_structure(s: EvolutionStructure) -> dict:
 # -- elements ----------------------------------------------------------------
 
 
-def parse_element(spec, mode: str) -> Element:
+def parse_element(spec) -> Element:
     """Element from ``[[vertex, weight], ...]`` / ``{"vertex": weight}`` JSON."""
     obj = read_json(spec)
     if isinstance(obj, dict):
@@ -116,25 +113,19 @@ def parse_element(spec, mode: str) -> Element:
             raise ValidationError(f"vertex id {v} out of range")
         if v in coeffs:
             raise ValidationError(f"vertex {v} appears twice")
-        coeffs[v] = as_scalar(raw, mode)
+        coeffs[v] = as_scalar(raw)
     return Element(coeffs)
 
 
 def element_jsonable(e):
-    """Render an element as ``[[vertex, re, im], ...]`` (strings when exact)."""
+    """Render an element as ``[[vertex, re, im], ...]`` with string parts."""
     if isinstance(e, ApproxElement):
         return {
             "prefix": element_jsonable(e.prefix),
             "cutoff": e.cutoff,
             "tail_norm_bound": jsonable(e.tail_norm_bound),
         }
-    out = []
-    for k, w in e.items():
-        if isinstance(w, ExactScalar):
-            out.append([k, q2_str(w.re), q2_str(w.im)])
-        else:
-            out.append([k, w.real, w.imag])
-    return out
+    return [[k, q2_str(w.re), q2_str(w.im)] for k, w in e.items()]
 
 
 # -- generic rendering -------------------------------------------------------
@@ -154,8 +145,6 @@ def jsonable(x):
         return q2_str(x)
     if isinstance(x, ExactScalar):
         return [q2_str(x.re), q2_str(x.im)]
-    if isinstance(x, complex):
-        return [x.real, x.imag]
     if isinstance(x, (Element, ApproxElement)):
         return element_jsonable(x)
     if isinstance(x, enum.Enum):

@@ -224,9 +224,9 @@ def test_subspace_chain_stops_at_its_first_repeat(monkeypatch):
     calls = []
     reduce_basis = algebra._reduce_basis
 
-    def counting(vectors, tol=0.0):
+    def counting(vectors):
         calls.append(1)
-        return reduce_basis(vectors, tol)
+        return reduce_basis(vectors)
 
     monkeypatch.setattr(algebra, "_reduce_basis", counting)
     assert subspace_chain(two_cycle(), 200) == [2] * 200
@@ -248,8 +248,7 @@ def test_subspace_chain_monotone(seed):
 def wide_row_structure():
     # row 1 is a finite row with 198 entries, reaching far past any cutoff
     wide = FiniteRow(tuple((k, EX_ONE) for k in range(2, 200)))
-    return EvolutionStructure("exact",
-                              lambda i: wide if i == 1 else FiniteRow(()))
+    return EvolutionStructure(lambda i: wide if i == 1 else FiniteRow(()))
 
 
 def test_multiply_uses_finite_rows_in_full_whatever_the_cutoff():
@@ -259,54 +258,6 @@ def test_multiply_uses_finite_rows_in_full_whatever_the_cutoff():
     assert isinstance(prod, Element)
     assert prod == full
     assert square_basis(wide_row_structure(), 1, cutoff=5) == full
-
-
-def float_structure(rows, n, tol=1e-9):
-    return EvolutionStructure.from_rows(rows, n, mode="float", tol=tol)
-
-
-def test_float_multiply_drops_coefficients_below_tol():
-    s = float_structure({1: [(3, 1.0)], 2: [(3, -1.0 + 1e-13), (4, 2.0)]}, 4)
-    u = Element({1: 1 + 0j, 2: 1 + 0j})
-    assert multiply(s, u, u) == Element({4: 2 + 0j})
-    exact_tol = float_structure({1: [(3, 1.0)], 2: [(3, -1.0 + 1e-13)]}, 3,
-                                tol=0.0)
-    assert multiply(exact_tol, u, u).support() == (3,)
-
-
-def test_float_nil_witness_search_uses_tol():
-    # from_rows refuses a weight at or below tol, so build the rows directly
-    rows = {1: FiniteRow(((2, 1e-12 + 0j),)), 2: FiniteRow(((3, 1 + 0j),))}
-    s = EvolutionStructure("float", lambda i: rows.get(i, FiniteRow(())), 3,
-                           tol=1e-9)
-    # the only nonzero coefficient of v^2 is below tol
-    assert nil_witness_search(s, Element({1: 1 + 0j}), 4) == NilAt(2)
-    # v itself counts as zero when all its coefficients are below tol
-    assert nil_witness_search(s, Element({2: 1e-13 + 0j}), 4) == NilAt(1)
-    strict = float_structure({1: [(2, 1e-12)], 2: [(3, 1.0)]}, 3, tol=1e-15)
-    assert nil_witness_search(strict, Element({1: 1 + 0j}), 4) == NilAt(3)
-
-
-def test_float_verify_natural_basis_uses_tol():
-    def forward(i):
-        if i == 1:
-            return Element({1: 1 + 0j, 2: 1e-13 + 0j})
-        return Element({i: 1 + 0j})
-
-    t = BasisTransform(forward, lambda k: Element({k: 1 + 0j}), band=1)
-    rows = {1: [(2, 1.0)], 2: [(1, 1.0)]}
-    assert verify_natural_basis(float_structure(rows, 2), t, 2) == \
-        NaturalOnWindow(2)
-    strict = verify_natural_basis(float_structure(rows, 2, tol=1e-15), t, 2)
-    assert (strict.i, strict.j, strict.kind) == (1, 2, "product")
-
-
-def test_float_subspace_chain_uses_tol():
-    rows = {1: [(3, 1.0), (4, 1.0)], 2: [(3, 1.0), (4, 1.0 + 1e-13)]}
-    # rows 1 and 2 agree within tol, so A^<2> is one-dimensional
-    assert subspace_chain(float_structure(rows, 4), 4) == [4, 1, 0, 0]
-    assert subspace_chain(float_structure(rows, 4, tol=1e-15), 4) == \
-        [4, 2, 0, 0]
 
 
 def test_exact_rows_and_elements_survive_copy_and_pickle():

@@ -97,8 +97,7 @@ def test_analyze_markov_certified_no_with_ray():
 def _classify_without_metadata(monkeypatch):
     """Make the CLI decide the shift line i -> i+1 with no family metadata,
     which no budget settles; every built-in family is decided at budget 1."""
-    shift = EvolutionStructure(
-        "exact", lambda i: FiniteRow(((i + 1, EX_ONE),)))
+    shift = EvolutionStructure(lambda i: FiniteRow(((i + 1, EX_ONE),)))
     monkeypatch.setattr(cli, "classify",
                         lambda s, budget: classify(shift, budget))
 
@@ -404,17 +403,22 @@ nonzero = st.fractions(min_value=-5, max_value=5).filter(bool)
 def test_element_json_round_trip(coeffs):
     e = Element({v: ExactScalar.from_rational(re, im)
                  for v, (re, im) in coeffs.items()})
-    back = parse_element(json.dumps(element_jsonable(e)), "exact")
+    back = parse_element(json.dumps(element_jsonable(e)))
     assert back == e
 
 
 def test_analyze_float_spec():
-    spec = json.dumps({"mode": "float", "tol": 1e-9, "n": 3,
-                       "rows": {"1": [[2, 0.5]], "2": [[3, [0.25, -1.5]]],
-                                "3": []}})
+    """The spec float mode used to read, its weights quoted as strings."""
+    weights = {"1": [[2, 0.5]], "2": [[3, [0.25, -1.5]]], "3": []}
+    refused = json.dumps({"mode": "float", "tol": 1e-9, "n": 3,
+                          "rows": weights})
+    assert _refusal(["analyze", "-"], refused) == "InvalidParams"
+    spec = json.dumps({"n": 3, "rows": {"1": [[2, "0.5"]],
+                                        "2": [[3, ["0.25", "-1.5"]]],
+                                        "3": []}})
     code, rep = report(["analyze", "-"], stdin=spec)
     assert code == 0
-    assert rep["input"]["mode"] == "float"
+    assert rep["input"]["mode"] == "exact"
     res = rep["result"]
     assert res["index"] == {"type": "IndexExact", "n": 4}
     assert res["nil"]["status"] == res["nilpotent"]["status"] == "yes"
@@ -433,46 +437,23 @@ def test_malformed_family_params_exit_2():
 
 
 def test_float_specs_out_of_range_exit_2():
-    """A weight past the float range or not finite is refused, never printed."""
-    huge = "1" + "0" * 400
-    cases = (
-        (["analyze", "-"], '{"mode": "float", "n": 2, "rows": '
-                           '{"1": [[2, "%s"]], "2": []}}' % huge,
-         "ParseError"),
-        (["analyze", "-"], '{"mode": "float", "n": 2, "rows": '
-                           '{"1": [[2, NaN]], "2": []}}', "ValidationError"),
-        (["bounds", "-", "--frobenius"], '{"mode": "float", "n": 2, "rows": '
-                                         '{"1": [[2, 1e400]], "2": []}}',
-         "ValidationError"),
-    )
-    for argv, spec, error in cases:
+    """A JSON float weight, finite or not, is refused with the advice to
+    quote it, never printed; the quoted weight past the float range is
+    read exactly."""
+    for argv, weight in ((["analyze", "-"], "NaN"),
+                         (["bounds", "-", "--frobenius"], "1e400"),
+                         (["analyze", "-"], "0.5")):
+        spec = '{"n": 2, "rows": {"1": [[2, %s]], "2": []}}' % weight
         code, out, err = invoke(argv, spec)
         assert (code, out) == (2, ""), spec
-        assert err.startswith(f"evolalg: {error}:"), err
-
-
-def test_float_products_past_the_float_range_exit_2():
-    """A float product that overflows is refused, never printed as
-    Infinity or NaN."""
-    cases = (
-        (["power", "-", "--element", '{"1": 1e200}', "-n", "2"],
-         {"1": [[1, 1e200]], "2": []}),
-        (["apply", "-", "--op", "omega", "--vector", '{"1": 1e200}'],
-         {"1": [[2, 1e200]], "2": []}),
-    )
-    for argv, rows in cases:
-        spec = json.dumps({"mode": "float", "n": 2, "rows": rows})
-        code, out, err = invoke(argv, spec)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("evolalg: InvalidParams:"), err
-        assert "sys.float_info.max" in err
-    # a product inside the range is still reported
+        assert err.startswith("evolalg: ParseError:"), err
+        assert '"0.5", "1/2"' in err
+    huge = "1" + "0" * 400
     code, rep = report(["apply", "-", "--op", "omega", "--vector",
-                        '{"1": 1e100}'],
-                       json.dumps({"mode": "float", "n": 2,
-                                   "rows": {"1": [[2, 1e200]], "2": []}}))
+                        '{"1": "%s"}' % huge],
+                       '{"n": 2, "rows": {"1": [[2, "%s"]], "2": []}}' % huge)
     assert code == 0
-    assert rep["result"]["image"] == [[2, 1e300, 0.0]]
+    assert rep["result"]["image"] == [[2, "1" + "0" * 800, "0"]]
 
 
 def test_huge_finite_universe_exits_2():
@@ -494,14 +475,14 @@ def test_frobenius_bounds_past_the_float_range():
     # the exact square sum 2e616 rounds up once, to a root below the largest
     # double
     code, rep = report(["bounds", "-", "--frobenius"], stdin=json.dumps(
-        {"mode": "float", "n": 2, "rows": {"1": [[2, 1e308]],
-                                           "2": [[1, 1e308]]}}))
+        {"n": 2, "rows": {"1": [[2, "1e308"]], "2": [[1, "1e308"]]}}))
     assert code == 0
     assert rep["result"]["status"] == "certified"
     assert rep["result"]["bound"] == 1.4142135623730951e+308
     # a root of 2e308 or 1e400 has no double at or above it
-    full = {"1": [[1, 1e308], [2, 1e308]], "2": [[1, 1e308], [2, 1e308]]}
-    for spec in ({"mode": "float", "n": 2, "rows": full},
+    full = {"1": [[1, "1e308"], [2, "1e308"]],
+            "2": [[1, "1e308"], [2, "1e308"]]}
+    for spec in ({"n": 2, "rows": full},
                  {"n": 2, "rows": {"1": [[2, "1" + "0" * 400]], "2": []}}):
         code, out, err = invoke(["bounds", "-", "--frobenius"],
                                 json.dumps(spec))
@@ -523,7 +504,7 @@ FLOAT_ROWS = {"mode": "float", "n": 2}
 # Every refusal of the explicit-spec readers (_build_finite_explicit,
 # EvolutionStructure.from_rows and __init__, as_scalar), with its class.
 EXPLICIT_REFUSALS = [
-    # the keys beside the rows
+    # the keys beside the rows: "exact" is the only mode, and tol is no key
     ({"rows": ROWS, "n": 2, "mode": "bogus"}, "InvalidParams"),
     ({"rows": ROWS, "n": 2, "mode": None}, "InvalidParams"),
     ({"rows": ROWS, "n": 2, "tol": "x"}, "InvalidParams"),
@@ -560,7 +541,7 @@ EXPLICIT_REFUSALS = [
     ({"rows": {"1": [[True, 1]]}, "n": 2}, "ParseError"),
     ({"rows": {"1": [[2, "0/1"]]}, "n": 2}, "ValidationError"),
     ({"rows": {"1": [[2, 1e-13]]}, **FLOAT_ROWS, "tol": 1e-9},
-     "ValidationError"),
+     "InvalidParams"),
     ({"rows": {"1": [[2, 1], [1, 1]]}, "n": 2}, "ValidationError"),
     ({"rows": {"1": [[2, 1], [2, 1]]}, "n": 2}, "ValidationError"),
     ({"rows": {"1": [[0, 1]]}, "n": 2}, "ValidationError"),
@@ -574,16 +555,16 @@ EXPLICIT_REFUSALS = [
     ({"rows": {"1": [[2, None]]}, "n": 2}, "ParseError"),
     ({"rows": {"1": [[2, {}]]}, "n": 2}, "ParseError"),
     ({"rows": {"1": [[2, [1, 2, 3]]]}, "n": 2}, "ParseError"),
-    # float weights
-    ({"rows": {"1": [[2, "abc"]]}, **FLOAT_ROWS}, "ParseError"),
-    ({"rows": {"1": [[2, "1" + "0" * 400]]}, **FLOAT_ROWS}, "ParseError"),
-    ({"rows": {"1": [[2, 10**400]]}, **FLOAT_ROWS}, "ParseError"),
-    ({"rows": {"1": [[2, False]]}, **FLOAT_ROWS}, "ParseError"),
-    ({"rows": {"1": [[2, [1.0, None]]]}, **FLOAT_ROWS}, "ParseError"),
-    ({"rows": {"1": [[2, float("nan")]]}, **FLOAT_ROWS}, "ValidationError"),
-    ({"rows": {"1": [[2, float("-inf")]]}, **FLOAT_ROWS}, "ValidationError"),
+    # float mode, refused before any weight is read
+    ({"rows": {"1": [[2, "abc"]]}, **FLOAT_ROWS}, "InvalidParams"),
+    ({"rows": {"1": [[2, "1" + "0" * 400]]}, **FLOAT_ROWS}, "InvalidParams"),
+    ({"rows": {"1": [[2, 10**400]]}, **FLOAT_ROWS}, "InvalidParams"),
+    ({"rows": {"1": [[2, False]]}, **FLOAT_ROWS}, "InvalidParams"),
+    ({"rows": {"1": [[2, [1.0, None]]]}, **FLOAT_ROWS}, "InvalidParams"),
+    ({"rows": {"1": [[2, float("nan")]]}, **FLOAT_ROWS}, "InvalidParams"),
+    ({"rows": {"1": [[2, float("-inf")]]}, **FLOAT_ROWS}, "InvalidParams"),
     ({"rows": {"1": [[2, 1.0, float("inf")]]}, **FLOAT_ROWS},
-     "ValidationError"),
+     "InvalidParams"),
     # row keys: decimal digits with an optional '-', nothing else
     ({"rows": {"1_0": [[11, 1]], " 3 ": [[4, 1]]}, "n": 20}, "ParseError"),
     ({"rows": {" 3 ": [[4, 1]]}, "n": 20}, "ParseError"),
@@ -596,6 +577,9 @@ EXPLICIT_REFUSALS = [
     ({"rows": ROWS, "universe": "finite:1_0"}, "InvalidParams"),
     ({"rows": ROWS, "universe": "finite:+3"}, "InvalidParams"),
     ({"rows": ROWS, "universe": "finite:\u0663"}, "InvalidParams"),
+    # JSON floats that are not finite, as exact weights
+    ({"rows": {"1": [[2, float("nan")]]}, "n": 2}, "ParseError"),
+    ({"rows": {"1": [[2, "1", float("-inf")]]}, "n": 2}, "ParseError"),
 ]
 
 
@@ -645,21 +629,23 @@ def test_spec_refusals(argv, stdin, error):
     ("[[1, 1], [1, 2]]", "exact", "ValidationError"),
     ("[[0, 1]]", "exact", "ValidationError"),
     ('{"0": 1}', "exact", "ValidationError"),
-    ('{"-3": 1}', "float", "ValidationError"),
+    ('{"-3": 1}', "exact", "ValidationError"),
     ('{"1": 1, "01": 2}', "exact", "ValidationError"),
     ('{"1_0": 1}', "exact", "ParseError"),
     ('{" 1 ": 1}', "exact", "ParseError"),
     ('{"+1": 1}', "exact", "ParseError"),
     ('{"\\u0661": 1}', "exact", "ParseError"),
-    ('{"": 1}', "float", "ParseError"),
+    ('{"": 1}', "exact", "ParseError"),
     ('{"1": 0.5}', "exact", "ParseError"),
     ('{"1": "x"}', "exact", "ParseError"),
     ('{"1": [1, 2, 3]}', "exact", "ParseError"),
     ("[[1, 1, null]]", "exact", "ParseError"),
-    ('{"1": true}', "float", "ParseError"),
-    ('{"1": "1e400"}', "float", "ParseError"),
-    ('{"1": NaN}', "float", "ValidationError"),
-    ("[[1, 1, -Infinity]]", "float", "ValidationError"),
+    ('{"1": true}', "exact", "ParseError"),
+    ('{"1": 1e400}', "exact", "ParseError"),
+    ('{"1": NaN}', "exact", "ParseError"),
+    ("[[1, 1, -Infinity]]", "exact", "ParseError"),
+    # float mode is refused before the element is read
+    ('{"1": "1e400"}', "float", "InvalidParams"),
 ])
 def test_element_refusals(element, mode, error):
     spec = json.dumps({"mode": mode, "n": 2, "rows": ROWS})

@@ -1,17 +1,20 @@
 """No spec makes the CLI raise.
 
-Hypothesis draws explicit finite specs (at most six vertices, exact or float
-mode) whose weights are ints, ~400-digit ints, rationals with ~400-digit
-parts, floats including NaN, ±inf, 1e308 and the smallest subnormal,
-``[re, im]`` pairs and booleans.  Now and then ``mode``, ``tol``, ``n`` or
-``universe`` is any JSON value instead (null, bool, int, float with NaN and
-inf, string, list, object), both size keys are given, or a stray key is
-added.  The spec goes to one report command in process, on stdin or as
-``--family finite_explicit`` params.  Every run must end with a documented
-exit code, and a printed report must be strict JSON: no ``NaN`` or
-``Infinity``.  Both spellings of one spec must end alike.  Family params get
-the same check: ``analyze`` on every family, with thirteen bad values per
-param key and with one stray key.
+Hypothesis draws explicit finite specs (at most six vertices, with mode
+"exact" or the retired "float", and now and then the retired ``tol`` key)
+whose weights are ints, ~400-digit ints, rationals with ~400-digit parts,
+floats including NaN, ±inf, 1e308 and the smallest subnormal, ``[re, im]``
+pairs and booleans.  Now and then ``mode``, ``tol``, ``n`` or ``universe``
+is any JSON value instead (null, bool, int, float with NaN and inf, string,
+list, object), both size keys are given, or a stray key is added.  The spec
+goes to one report command in process, on stdin or as ``--family
+finite_explicit`` params.  Every run must end with a documented exit code,
+and a printed report must be strict JSON: no ``NaN`` or ``Infinity``.  A
+spec with a mode other than "exact" or with ``tol`` must be refused: exit 2
+and one stderr line.  Both spellings of one spec must end alike.  Family
+params get the same check: ``analyze`` on every family, with thirteen bad
+values per param key and with one stray key; every value of
+``finite_explicit``'s ``mode`` and ``tol`` keys must be refused.
 """
 import contextlib
 import io
@@ -95,6 +98,7 @@ def _run(argv, stdin):
     assert code in (0, 2, 3), (argv, stdin, err.getvalue())
     if code == 2:
         assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1, err.getvalue()
         return code, err.getvalue()
     json.loads(out.getvalue(), parse_constant=_reject)
     return code, None
@@ -107,7 +111,10 @@ def test_no_weight_makes_the_cli_raise(spec, command):
     text = json.dumps(spec)
     family = [command[0], "--family", "finite_explicit", "--params", text,
               *command[1:]]
-    assert _run([command[0], "-", *command[1:]], text) == _run(family, "")
+    outcome = _run([command[0], "-", *command[1:]], text)
+    assert outcome == _run(family, "")
+    if spec["mode"] != "exact" or "tol" in spec:
+        assert outcome[0] == 2, spec
 
 
 # Thirteen values that are wrong for most family params: JSON's every kind,
@@ -121,18 +128,22 @@ FAMILY_PARAMS = {
     "finite_explicit": ({"rows": {"1": [[2, "1"]]}, "n": 2},
                         ("rows", "n", "universe", "mode", "tol")),
 }
+# Keys that no value in BAD_PARAMS, nor any other, makes acceptable.
+ALWAYS_REFUSED = {("finite_explicit", "mode"), ("finite_explicit", "tol")}
 
 
 def test_no_family_param_makes_analyze_raise():
     for family in list_families():
         base, keys = FAMILY_PARAMS.get(family, ({}, ()))
-        cases = [{**base, "stray": 1}]
+        cases = [({**base, "stray": 1}, False)]
         for key in keys:
             for value in BAD_PARAMS:
                 params = {k: v for k, v in base.items()
                           if not (key == "universe" and k == "n")}
-                cases.append({**params, key: value})
-        for params in cases:
+                cases.append(({**params, key: value},
+                              (family, key) in ALWAYS_REFUSED))
+        for params, refused in cases:
             # _run asserts the exit code and that stdout is strict JSON
-            _run(["analyze", "--family", family, "--params",
-                  json.dumps(params)], "")
+            code, _ = _run(["analyze", "--family", family, "--params",
+                            json.dumps(params)], "")
+            assert code == 2 or not refused, params

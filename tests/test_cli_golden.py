@@ -29,9 +29,10 @@ CYCLIC = json.dumps({"n": 3, "rows": {
     "1": [[2, "3/4"]],
     "2": [[3, "1"]],
     "3": [[1, "-1/2"], [2, "sqrt2"]]}})
-FLOAT = json.dumps({"mode": "float", "tol": 1e-9, "n": 3, "rows": {
-    "1": [[2, 0.5], [3, [0.25, -1.5]]],
-    "2": [[3, 2.0]],
+# decimal and rational strings, each read exactly
+DECIMAL = json.dumps({"n": 3, "rows": {
+    "1": [[2, "1/2"], [3, ["1/4", "-3/2"]]],
+    "2": [[3, "2"]],
     "3": []}})
 EXPLICIT_PARAMS = json.dumps({"n": 3, "rows": {
     "1": [[2, "1/2"], [3, "2"]], "2": [[3, "-1"]], "3": []}})
@@ -113,7 +114,7 @@ def _cases():
         base = ["power", "--family", fam, "--element", '{"1": 1, "2": "2"}',
                 "-n", "2"]
         cases += [(base, None), (base + ["--cutoff", "9"], None)]
-    for spec in (ACYCLIC, CYCLIC, FLOAT):
+    for spec in (ACYCLIC, CYCLIC, DECIMAL):
         cases += [
             (["analyze", "-"], spec),
             (["oracle", "-"], spec),

@@ -234,7 +234,7 @@ def test_table_and_row_readers_decide_alike(spec, data):
     # whole universe; a plain row_fn over the same rows goes through row_of
     n, rows = spec
     s = EvolutionStructure.from_rows(rows, n)
-    plain = EvolutionStructure("exact", row_fn=s.row_of, universe=n)
+    plain = EvolutionStructure(row_fn=s.row_of, universe=n)
     window = data.draw(st.one_of(st.just(n), st.integers(1, n)))
     # small budgets run out inside the search; the largest never does
     budget = data.draw(st.one_of(st.integers(1, 2 * n + 8),
@@ -278,7 +278,7 @@ def test_whole_universe_windows_are_read_in_full(cyclic):
     # the budget, through the from_rows table and through row_of alike
     n = 500
     s = EvolutionStructure.from_rows(_sparse_rows(n, cyclic), n)
-    plain = EvolutionStructure("exact", row_fn=s.row_of, universe=n)
+    plain = EvolutionStructure(row_fn=s.row_of, universe=n)
     for t in (s, plain):
         full = window_dfs(t, n, n * n)
         assert full[3] and (full[0] is not None) == cyclic
@@ -310,7 +310,7 @@ def test_degree():
 
 
 def test_degree_needs_columns():
-    bare = EvolutionStructure("exact", row_fn=lambda i: FiniteRow(()), universe=3)
+    bare = EvolutionStructure(row_fn=lambda i: FiniteRow(()), universe=3)
     with pytest.raises(NoColumnAccess):
         degree(bare, 1, "in", 5)
 
@@ -343,9 +343,9 @@ def test_from_rows_reads_keys_as_decimal_integers():
 def _count_as_scalar(monkeypatch):
     calls = []
 
-    def counted(value, mode):
+    def counted(value):
         calls.append(value)
-        return as_scalar(value, mode)
+        return as_scalar(value)
 
     monkeypatch.setattr(graph, "as_scalar", counted)
     return calls
@@ -362,7 +362,7 @@ def test_from_rows_reads_each_literal_once(monkeypatch):
     # every entry holds the scalar as_scalar gives its literal
     for i in (1, 2, 777, n - 2):
         assert s.row_of(i).entries == tuple(
-            (t, as_scalar(w, "exact")) for t, w in rows[str(i)])
+            (t, as_scalar(w)) for t, w in rows[str(i)])
     # ints and strings are literals, and an int is not its string
     calls.clear()
     s = EvolutionStructure.from_rows(
@@ -377,7 +377,7 @@ def test_from_rows_reads_each_literal_once(monkeypatch):
 
 
 def test_interned_literals_keep_their_refusals():
-    # 1.0 and True equal 1 and hash alike, yet exact mode refuses them
+    # 1.0 and True equal 1 and hash alike, yet both are refused
     for bad in ("1.0", "true"):
         with pytest.raises(ParseError, match="^row 2: "):
             parse_structure(
@@ -387,13 +387,6 @@ def test_interned_literals_keep_their_refusals():
     with pytest.raises(ValidationError, match="^row 1: zero weight on edge "
                                               "to 2$"):
         EvolutionStructure.from_rows(rows, 3)
-    # and so is a repeated literal within tol in float mode
-    rows = {"1": [[2, "1"], [3, "1/10000000000"]], "2": [[3, "1/10000000000"]]}
-    with pytest.raises(ValidationError, match="^row 1: zero weight on edge "
-                                              "to 3$"):
-        EvolutionStructure.from_rows(rows, 3, mode="float", tol=1e-9)
-    kept = EvolutionStructure.from_rows(rows, 3, mode="float", tol=1e-12)
-    assert kept.row_of(2).entries == ((3, 1e-10 + 0j),)
 
 
 def test_finite_universe_ceiling():
@@ -428,34 +421,24 @@ def test_vertex_bounds_checked():
         two.row_of(0)
 
 
-def test_float_path_is_valid_uses_tol():
-    rows = {1: [(2, 1e-13), (3, 1.0)], 2: [], 3: []}
-    # from_rows refuses a weight at or below tol, so build the rows directly
-    row1 = FiniteRow(((2, 1e-13 + 0j), (3, 1 + 0j)))
-    s = EvolutionStructure("float", lambda i: row1 if i == 1 else FiniteRow(()),
-                           3, tol=1e-9)
-    assert path_is_valid(s, [1, 3])
-    assert not path_is_valid(s, [1, 2])
-    strict = EvolutionStructure.from_rows(rows, 3, mode="float", tol=1e-15)
-    assert path_is_valid(strict, [1, 2])
-
-
-def test_float_from_rows_refuses_weights_within_tol():
-    # accepted, the 1e-13 edge would close a cycle for the graph code while
-    # every tol-aware consumer (brute force: nilpotent, index 3) drops it
-    rows = {1: [(2, 1e-13)], 2: [(1, 1.0)]}
-    with pytest.raises(ValidationError, match="zero weight on edge to 2"):
-        EvolutionStructure.from_rows(rows, 2, mode="float", tol=1e-9)
-    with pytest.raises(ValidationError):
-        EvolutionStructure.from_rows({1: [(2, 1e-9j)]}, 2, mode="float",
-                                     tol=1e-9)
-    kept = EvolutionStructure.from_rows(rows, 2, mode="float", tol=1e-15)
-    assert cycle_search(kept, 2, 16) == ([1, 2, 1], True)
-
-
 def test_float_from_rows_refuses_weights_that_are_not_finite():
-    for w in (math.nan, math.inf, -math.inf, complex(1, math.inf)):
-        with pytest.raises(ValidationError, match="not finite"):
-            EvolutionStructure.from_rows({1: [(2, w)]}, 2, mode="float")
-    big = EvolutionStructure.from_rows({1: [(2, 1e308)]}, 2, mode="float")
-    assert big.row_of(1).entries == ((2, 1e308 + 0j),)
+    # a float weight is refused whatever its value, before it is used
+    for w in (math.nan, math.inf, -math.inf, complex(1, math.inf), 1e308,
+              [1, math.nan]):
+        with pytest.raises(ParseError, match="^row 1: "):
+            EvolutionStructure.from_rows({1: [(2, w)]}, 2)
+    # the same magnitude quoted is read exactly
+    big = EvolutionStructure.from_rows({1: [(2, "1e308")]}, 2)
+    assert big.row_of(1).entries == ((2, ExactScalar.from_rational(10**308)),)
+
+
+def test_from_rows_accepts_only_the_exact_mode():
+    rows = {1: [(2, "1/2")]}
+    assert EvolutionStructure.from_rows(rows, 2, "exact").source["mode"] == \
+        "exact"
+    for mode in ("float", "Exact", None, 0):
+        # refused before any weight is read, so a float weight does not
+        # decide the class
+        with pytest.raises(InvalidParams, match='quote each weight as a '
+                                                'string, such as "0.5"'):
+            EvolutionStructure.from_rows({1: [(2, math.nan)]}, 2, mode)

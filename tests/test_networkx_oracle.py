@@ -137,9 +137,8 @@ def forward_structure(steps_of):
     """Infinite, metadata-free structure whose row i targets i + d for each
     d in steps_of(i); every edge points forward, so no window has a cycle."""
     one = ExactScalar(1)
-    return EvolutionStructure(
-        "exact", lambda i: FiniteRow(tuple((i + d, one)
-                                           for d in sorted(steps_of(i)))))
+    return EvolutionStructure(lambda i: FiniteRow(tuple(
+        (i + d, one) for d in sorted(steps_of(i)))))
 
 
 def random_steps(seed):

@@ -156,7 +156,7 @@ def test_classify_long_chain_and_its_closed_cycle():
 def test_classify_without_metadata_is_inconclusive():
     # an infinite structure with no family facts: only evidence, no verdict
     one = shift_pair().row_of(1).entries[0][1]
-    s = EvolutionStructure("exact", lambda i: FiniteRow(((i + 1, one),)))
+    s = EvolutionStructure(lambda i: FiniteRow(((i + 1, one),)))
     r = classify(s, budget=16)
     assert r.nil.status == "inconclusive"
     assert r.nilpotent.status == "inconclusive"
@@ -229,7 +229,7 @@ def test_triangularize_frozen():
 
 def test_triangularize_blocked_without_reentry_facts():
     one = shift_pair().row_of(1).entries[0][1]
-    s = EvolutionStructure("exact", lambda i: FiniteRow(((i + 1, one),)))
+    s = EvolutionStructure(lambda i: FiniteRow(((i + 1, one),)))
     assert triangularize_window(s, 6) == Blocked(frozenset(range(1, 7)))
 
 
@@ -269,15 +269,6 @@ def test_finite_four_way_agreement(seed):
         assert r.index == IndexInfinite()
 
 
-def test_float_brute_force_uses_tol():
-    rows = {1: [(3, 1.0), (4, 1.0)], 2: [(3, 1.0), (4, 1.0 + 1e-13)]}
-    s = EvolutionStructure.from_rows(rows, 4, mode="float", tol=1e-9)
-    assert brute_force_nilpotent(s) == BruteForceReport((4, 1, 0, 0, 0, 0),
-                                                        True, 3)
-    strict = EvolutionStructure.from_rows(rows, 4, mode="float", tol=1e-15)
-    assert brute_force_nilpotent(strict).dims[:3] == (4, 2, 0)
-
-
 def test_classify_reads_at_most_scan_cap_ranks():
     s = build_family("growing_teeth")
     real = s.meta.rank
@@ -303,7 +294,7 @@ def _late_ray(start):
         return FiniteRow(((i + 1, EX_ONE),) if i >= start else ())
     meta = FamilyMeta(rank=lambda i: INFINITE if i >= start else 0,
                       sup_rank=INFINITE, ranks_finite=False)
-    return EvolutionStructure("exact", row, meta=meta)
+    return EvolutionStructure(row, meta=meta)
 
 
 def test_classify_inconclusive_when_the_infinite_rank_lies_past_the_scan():
@@ -334,7 +325,7 @@ def test_classify_runs_one_window_search(monkeypatch):
 
     monkeypatch.setattr(nilpotency, "window_dfs", counted)
     one = shift_pair().row_of(1).entries[0][1]
-    bare = EvolutionStructure("exact", lambda i: FiniteRow(((i + 1, one),)))
+    bare = EvolutionStructure(lambda i: FiniteRow(((i + 1, one),)))
     for s, budget in ((shift_pair(), 64), (build_family("growing_teeth"), 64),
                       (bare, 16)):
         calls.clear()
@@ -351,8 +342,8 @@ def test_triangularize_reads_a_finite_universe_in_full():
     one = shift_pair().row_of(1).entries[0][1]
     entries = tuple((k, one) for k in range(n))
     targets = tuple(range(n))
-    s = EvolutionStructure(
-        "exact", lambda i: FiniteRow(entries[1:i], targets[1:i]), universe=n)
+    s = EvolutionStructure(lambda i: FiniteRow(entries[1:i], targets[1:i]),
+                           universe=n)
     res = triangularize_window(s, n)
     assert res == Permutation(tuple(range(1, n + 1)))
     assert permutation_is_strictly_lower(s, res.order, n)

@@ -1,7 +1,9 @@
 """The runtime needs only the standard library: every module of the package
 imports nothing but standard-library modules and the package itself, and
 imports at module level only, so importing the package loads everything it
-needs.  No record compiles methods from generated source at import."""
+needs.  No record compiles methods from generated source at import.  The
+package has one scalar field, Q(sqrt2, i): no module uses ``cmath``, the
+builtin ``complex`` or a zero tolerance."""
 import ast
 import dataclasses
 import importlib
@@ -78,6 +80,51 @@ def test_the_guard_sees_imports_in_bodies(tmp_path):
     probe.write_text("import json\n\n\ndef f():\n    from . import graph\n"
                      "\n\nclass C:\n    def g(self):\n        import os\n")
     assert imports_in_bodies(probe) == ["probe.py:5", "probe.py:10"]
+
+
+# A second scalar type would come back through these names.
+FLOAT_SCALAR_NAMES = {"complex", "tol", "zero_tol"}
+
+
+def float_scalar_uses(path):
+    """`file:line name` for each import of cmath and each identifier
+    named in FLOAT_SCALAR_NAMES: a name, attribute, parameter, keyword,
+    imported name or definition."""
+    hits = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names]
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            hits += [(node.lineno, "cmath") for name in modules
+                     if name.split(".")[0] == "cmath"]
+            idents = [a.name for a in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            idents = [node.name]
+        else:  # ast.Name, ast.Attribute, ast.arg and ast.keyword
+            idents = [getattr(node, field, None)
+                      for field in ("id", "attr", "arg")]
+        hits += [(node.lineno, name) for name in idents
+                 if name in FLOAT_SCALAR_NAMES]
+    return [f"{path.name}:{line} {name}" for line, name in sorted(hits)]
+
+
+def test_package_has_one_scalar_field():
+    assert [hit for path in sorted(PACKAGE.rglob("*.py"))
+            for hit in float_scalar_uses(path)] == []
+
+
+def test_the_guard_sees_a_second_scalar_type(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import cmath\nfrom cmath import isfinite\nfrom .s import tol\n"
+        "x = complex(1, 2)\n\n\ndef f(v, tol=0.0):\n"
+        "    return s.zero_tol + g(tol=tol) + isinstance(v, complex)\n"
+        "y = 'complex values and tol in text are fine'\n")
+    assert float_scalar_uses(probe) == [
+        "probe.py:1 cmath", "probe.py:2 cmath", "probe.py:3 tol",
+        "probe.py:4 complex", "probe.py:7 tol", "probe.py:8 complex",
+        "probe.py:8 tol", "probe.py:8 tol", "probe.py:8 zero_tol"]
 
 
 RECORD_METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__")
