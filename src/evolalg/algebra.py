@@ -145,8 +145,9 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
     per such line plus the norm of whatever finite-line mass lies beyond the
     cutoff.  `weight` maps each line weight before it is scaled;
     ``l2_tail=False`` declares that mapped lines have no square-summable
-    tail, so truncating one raises NoTailBound.  On an infinite universe a cutoff above WINDOW_CEILING is refused with
-    InvalidParams: a lazy line caches every entry up to the cutoff.
+    tail, so truncating one raises NoTailBound.  On an infinite universe a
+    cutoff above WINDOW_CEILING is refused with InvalidParams: a lazy line
+    caches every entry up to the cutoff.
     """
     if s.universe is None and cutoff is not None and cutoff > WINDOW_CEILING:
         raise InvalidParams(f"cutoff {cutoff} exceeds the ceiling "
