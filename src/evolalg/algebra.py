@@ -20,9 +20,8 @@ from .records import Record
 from .scalars import (
     EX_ONE,
     EX_ZERO,
-    abs_sq,
+    _sum_ratios,
     abs_upper,
-    conj,
     up_float,
     up_sqrt_frac,
 )
@@ -101,7 +100,7 @@ class Element:
     def norm_sq(self):
         total = None
         for _, v in self.items():
-            a = abs_sq(v)
+            a = v.abs_sq()
             total = a if total is None else total + a
         return total if total is not None else Fraction(0)
 
@@ -126,11 +125,11 @@ class ApproxElement(Record):
 
 def norm_upper(elem: Element) -> Fraction:
     """Rational upper bound on the l2 norm."""
-    total = Fraction(0)
-    for _, v in elem.items():
-        a = abs_upper(v)
-        total += a * a
-    return up_sqrt_frac(total)
+    terms = []
+    for v in elem.coeffs.values():
+        n, d = abs_upper(v).as_integer_ratio()
+        terms.append((n * n, d * d))
+    return up_sqrt_frac(_sum_ratios(terms))
 
 
 def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
@@ -153,7 +152,7 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
         raise InvalidParams(f"cutoff {cutoff} exceeds the ceiling "
                             f"WINDOW_CEILING = {WINDOW_CEILING}")
     acc: dict[int, object] = {}
-    tail_bound = Fraction(0)
+    tails = []  # (numerator, denominator) of each truncated line's bound
     approx = False
     for i, c, line in terms:
         if not c:
@@ -166,7 +165,9 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
                 raise NoTailBound(
                     "unweighted image of an infinite line is not in l2")
             approx = True
-            tail_bound += abs_upper(c) * up_sqrt_frac(line.tail_sq(cutoff))
+            n, d = abs_upper(c).as_integer_ratio()
+            a, b = up_sqrt_frac(line.tail_sq(cutoff)).as_integer_ratio()
+            tails.append((n * a, d * b))
         for k, w in entries:
             cw = c * (w if weight is None else weight(w))
             acc[k] = acc[k] + cw if k in acc else cw
@@ -176,8 +177,8 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
     kept = {k: w for k, w in result.coeffs.items() if k <= cutoff}
     dropped = Element({k: w for k, w in result.coeffs.items() if k > cutoff})
     if dropped.coeffs:
-        tail_bound += norm_upper(dropped)
-    return ApproxElement(Element(kept), cutoff, up_float(tail_bound))
+        tails.append(norm_upper(dropped).as_integer_ratio())
+    return ApproxElement(Element(kept), cutoff, up_float(_sum_ratios(tails)))
 
 
 def square_basis(s: EvolutionStructure, i: int, cutoff: Optional[int] = None):
@@ -268,7 +269,7 @@ def inner_product(u, v):
         return val, bound
     total = EX_ZERO
     for k in sorted(set(u.coeffs) & set(v.coeffs)):
-        total += u.coeffs[k] * conj(v.coeffs[k])
+        total += u.coeffs[k] * v.coeffs[k].conjugate()
     return total
 
 

@@ -25,7 +25,8 @@ from .errors import (
     ValidationError,
 )
 from .records import Record
-from .scalars import _QUOTE_ADVICE, abs_sq, abs_upper, as_scalar, scalar_str
+from .scalars import (_QUOTE_ADVICE, _sum_ratios, abs_upper, as_scalar,
+                      scalar_str)
 
 VertexId = int
 Entry = Tuple[VertexId, object]  # (target, weight)
@@ -135,11 +136,12 @@ class FiniteRow(Record):
 
     def tail_sq(self, n: int):
         """sum_{k>n} |w_k|^2, exactly."""
-        return sum((abs_sq(w) for k, w in self.entries if k > n), Fraction(0))
+        return sum((w.abs_sq() for k, w in self.entries if k > n), Fraction(0))
 
     def tail_abs(self, n: int) -> Fraction:
         """Rational upper bound on sum_{k>n} |w_k|."""
-        return sum((abs_upper(w) for k, w in self.entries if k > n), Fraction(0))
+        return _sum_ratios(abs_upper(w).as_integer_ratio()
+                           for k, w in self.entries if k > n)
 
 
 class LazyRow:

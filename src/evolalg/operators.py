@@ -23,8 +23,8 @@ from .algebra import Element, _expand
 from .errors import InvalidParams, NoColumnAccess, NoTailBound
 from .graph import EvolutionStructure
 from .records import Record
-from .scalars import (EX_ONE, EX_ZERO, abs_lower, abs_sq, abs_upper, conj,
-                      up_sqrt)
+from .scalars import (EX_ONE, EX_ZERO, ExactScalar, _sum_ratios, abs_lower,
+                      abs_upper, up_sqrt)
 
 # left_mult_bound reads rows up to this vertex, then defers to tail bounds.
 _LEFT_MULT_WINDOW = 256
@@ -48,7 +48,7 @@ class OperatorKind(enum.Enum):
 def _weight_map(kind: OperatorKind):
     """What `kind` makes of each line weight; None leaves it as it is."""
     if kind.weighted:
-        return conj if kind.adjoint else None
+        return ExactScalar.conjugate if kind.adjoint else None
     return lambda w: EX_ONE
 
 
@@ -95,7 +95,7 @@ def summability_check(s: EvolutionStructure, axis: str, index: int, window: int)
     entries, exhausted, _ = line.upto(window)
     total = None
     for _, w in entries:
-        a = abs_sq(w)
+        a = w.abs_sq()
         total = a if total is None else total + a
     if total is None:
         total = Fraction(0)
@@ -125,15 +125,16 @@ def frobenius_certificate(s: EvolutionStructure, window: int) -> BoundCertificat
     Otherwise the partial sum is reported as inconclusive evidence.
     """
     top = s.window_top(window)
-    total = Fraction(0)
+    terms = []
     rows_certified = True
     for i in range(1, top + 1):
         res = summability_check(s, "row", i, window)
+        terms.append(_upperize(res.total).as_integer_ratio())
         if isinstance(res, FiniteCertified):
-            total += _upperize(res.total) + _upperize(res.tail)
+            terms.append(_upperize(res.tail).as_integer_ratio())
         else:
-            total += _upperize(res.total)
             rows_certified = False
+    total = _sum_ratios(terms)
     beyond = None
     if s.universe is not None and s.universe <= window:
         beyond = Fraction(0)
@@ -165,8 +166,11 @@ class SchurWeights(Record):
     tail_sup: Optional[Callable[[int], Fraction]] = None
 
 
+_ONE = Fraction(1)
+
+
 def _one(_i):
-    return Fraction(1)
+    return _ONE
 
 
 ONES = SchurWeights(_one, _one)
@@ -226,17 +230,25 @@ def _schur_line_sum(line, weights: SchurWeights, window: int):
     """(lower, upper) rational bounds on sum_k |w_k| * weight_k for one line.
 
     Finite lines are completely known and summed in full; the window only
-    limits how far lazy lines are enumerated.  The lower bound is what
-    refutations rely on, so it must never overshoot; the upper bound (None
-    when the tail cannot be controlled) is what certification relies on.
+    limits how far lazy lines are enumerated.  Each term is kept as an
+    integer numerator and denominator, |w_k| (exact for a rational weight,
+    else its lower or upper bracket) times weight_k read through
+    ``as_integer_ratio()``, and each sum is built once, over one common
+    denominator.  The lower bound is what refutations rely on, so it must
+    never overshoot; the upper bound (None when the tail cannot be
+    controlled) is what certification relies on.
     """
     entries, exhausted = line.prefix(window)
-    lo = Fraction(0)
-    hi = Fraction(0)
+    fn = weights.fn
+    lows, highs = [], []
     for k, w in entries:
-        wk = Fraction(weights.fn(k))
-        lo += abs_lower(w) * wk
-        hi += abs_upper(w) * wk
+        a, b = fn(k).as_integer_ratio()
+        n, d = abs_lower(w).as_integer_ratio()
+        lows.append((n * a, d * b))
+        n, d = abs_upper(w).as_integer_ratio()
+        highs.append((n * a, d * b))
+    lo = _sum_ratios(lows)
+    hi = lo if highs == lows else _sum_ratios(highs)
     if exhausted:
         return lo, hi
     tail = line.tail_abs(window)
@@ -259,12 +271,12 @@ def adjoint_pairing_residual(s: EvolutionStructure, i: int, v: Element):
         coeffs = dict(entries)
         for k in sup:
             if k in coeffs:
-                t = coeffs[k] * conj(v.coeffs[k])
+                t = coeffs[k] * v.coeffs[k].conjugate()
                 lhs = t if lhs is None else lhs + t
     gamma_v = apply_operator(s, OperatorKind.GAMMA, v)
     rhs = None
     if i in gamma_v.coeffs:
-        rhs = conj(gamma_v.coeffs[i])
+        rhs = gamma_v.coeffs[i].conjugate()
     lhs = EX_ZERO if lhs is None else lhs
     rhs = EX_ZERO if rhs is None else rhs
     return lhs - rhs
@@ -272,17 +284,18 @@ def adjoint_pairing_residual(s: EvolutionStructure, i: int, v: Element):
 
 def left_mult_bound(s: EvolutionStructure, v: Element) -> float:
     """Continuity bound M_v = sqrt(sum_i |v_i|^2 ||e_i^2||^2) for w -> v*w."""
-    total = Fraction(0)
+    terms = []
     for i, c in v.items():
         row = s.row_of(i)
         entries, exhausted, _ = row.upto(_LEFT_MULT_WINDOW)
-        sq = Fraction(0)
-        for _, w in entries:
-            sq += _upperize(abs_sq(w))
+        sq = [w.abs_sq().upper().as_integer_ratio() for _, w in entries]
         if not exhausted:
-            sq += _upperize(row.tail_sq(_LEFT_MULT_WINDOW))  # NoTailBound if absent
-        total += _upperize(abs_sq(c)) * sq
-    return up_sqrt(total)
+            tail = row.tail_sq(_LEFT_MULT_WINDOW)  # NoTailBound if absent
+            sq.append(_upperize(tail).as_integer_ratio())
+        n, d = _sum_ratios(sq).as_integer_ratio()
+        a, b = c.abs_sq().upper().as_integer_ratio()
+        terms.append((a * n, b * d))
+    return up_sqrt(_sum_ratios(terms))
 
 
 def matrix_window(s: EvolutionStructure, kind: OperatorKind, n: int):

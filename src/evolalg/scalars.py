@@ -15,8 +15,12 @@ are private and nothing in the package assigns them after construction.
 Decimal input is read exactly: "0.1" is 1/10.  A JSON float is refused,
 since it holds the binary64 rounding of the number written, not the number.
 
-Norm-like quantities (tail bounds, operator bounds) are kept rigorous: when
-we must round, we round *up*, so every reported bound is a true upper bound.
+Norm-like quantities (tail bounds, operator bounds) are kept rigorous.  The
+modulus of a rational scalar is read off exactly; any other modulus, and
+any square root, is bracketed by rationals on the safe side.  Sums of such
+terms are exact, put over one common denominator by :func:`_sum_ratios`,
+and a reported float is rounded *up* from the exact sum once, at the end,
+so every reported bound is a true upper bound.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Union
 
 from .errors import InvalidParams, ParseError
@@ -434,13 +438,22 @@ class ExactScalar:
         return _ex(-self._p, -self._q, -self._r, -self._s, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        o = other
+        if type(o) is not ExactScalar:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        if not (self._q or self._r or self._s or o._q or o._r or o._s):
+            # both rational: one product, one two-argument gcd
+            p, d = self._p * o._p, self._d * o._d
+            g = gcd(p, d)
+            x = _new(ExactScalar)
+            x._p = p // g
+            x._q = x._r = x._s = 0
+            x._d = d // g
+            return x
         p, q, r, s = self._p, self._q, self._r, self._s
         p2, q2, r2, s2 = o._p, o._q, o._r, o._s
-        if not (q or r or s or q2 or r2 or s2):  # both rational: one product
-            return _ex(p * p2, 0, 0, 0, self._d * o._d)
         # (A + Bi)(C + Di) = AC - BD + (AD + BC)i with A = p + q*sqrt2,
         # B = r + s*sqrt2, C = p2 + q2*sqrt2 and D = r2 + s2*sqrt2
         return _ex(p * p2 + 2 * q * q2 - r * r2 - 2 * s * s2,
@@ -567,17 +580,10 @@ def as_scalar(value) -> ExactScalar:
     return ExactScalar(_real(value))
 
 
-def conj(x):
-    return x.conjugate()
-
-
-def abs_sq(x: ExactScalar) -> Q2:
-    """|x|^2, exactly."""
-    return x.abs_sq()
-
-
 def abs_upper(x: ExactScalar) -> Fraction:
-    """Rational upper bound on |x|."""
+    """Rational upper bound on |x| (exact for rational magnitudes)."""
+    if not (x._q or x._r or x._s):
+        return Fraction(abs(x._p), x._d)
     r = x.abs_exact()
     if r is not None:
         return r.upper()
@@ -586,11 +592,23 @@ def abs_upper(x: ExactScalar) -> Fraction:
 
 def abs_lower(x: ExactScalar) -> Fraction:
     """Rational lower bound on |x| (exact for rational magnitudes)."""
+    if not (x._q or x._r or x._s):
+        return Fraction(abs(x._p), x._d)
     r = x.abs_exact()
     if r is not None:
         return r.lower()
     lo = x.abs_sq().lower()
     return down_sqrt_frac(lo if lo >= 0 else Fraction(0))
+
+
+def _sum_ratios(pairs) -> Fraction:
+    """The sum of n/d over the integer pairs (n, d), d > 0, such as the
+    ``as_integer_ratio()`` of ints, Fractions and floats.  Every term is
+    put over one ``math.lcm`` of the denominators, so the sum costs one gcd,
+    in the Fraction it returns, instead of one per addition."""
+    pairs = list(pairs)
+    d = lcm(*[b for _, b in pairs])
+    return Fraction(sum([a * (d // b) for a, b in pairs]), d)
 
 
 def scalar_str(x: ExactScalar) -> str:

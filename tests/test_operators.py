@@ -32,7 +32,7 @@ from evolalg import (
 )
 from evolalg.errors import InvalidParams, NoTailBound
 from evolalg.graph import WINDOW_CEILING
-from evolalg.scalars import EX_ONE, ExactScalar, Q2, conj
+from evolalg.scalars import EX_ONE, ExactScalar, Q2
 
 
 def test_omega_on_lazy_row_frozen():
@@ -209,7 +209,7 @@ def test_matrix_window_adjoint_is_conjugate_transpose(seed, n):
     gamma = matrix_window(s, OperatorKind.GAMMA, top)
     for i in range(top):
         for k in range(top):
-            assert gamma[k][i] == conj(omega[i][k])
+            assert gamma[k][i] == omega[i][k].conjugate()
 
 
 def lazy_column_structure():
@@ -248,3 +248,21 @@ def test_schur_sums_finite_rows_past_the_window():
     cert = schur_certificate(s, ONES, ONES, 1, 2, window=10)
     assert cert.status == "refuted"
     assert cert.refutation_index == ("row", 1)
+
+
+def growing_past_100():
+    """Row i is the one edge i -> i+1, of weight 1 for i < 100 and i from
+    then on: ||Omega e_i|| = i for i >= 100, so Omega is unbounded."""
+    def weight(i):
+        return EX_ONE if i < 100 else ExactScalar(i)
+
+    return EvolutionStructure(
+        lambda i: FiniteRow(((i + 1, weight(i)),)),
+        column_fn=lambda k: FiniteRow(((k - 1, weight(k - 1)),) if k > 1 else ()))
+
+
+@pytest.mark.xfail(strict=True, reason="Schur checks only the lines of its "
+                   "window and certifies an unbounded operator (ROADMAP item 1)")
+def test_schur_does_not_certify_an_unbounded_operator():
+    cert = schur_certificate(growing_past_100(), ONES, ONES, 1, 1, window=32)
+    assert cert.status != "certified", cert

@@ -24,8 +24,8 @@ from evolalg.scalars import (
     EX_ZERO,
     ExactScalar,
     Q2,
+    _sum_ratios,
     abs_lower,
-    abs_sq,
     abs_upper,
     as_scalar,
     down_sqrt_frac,
@@ -148,7 +148,7 @@ def test_exact_scalar_complex_arithmetic():
     one_plus_i = ExactScalar.from_rational(1, 1)
     one_minus_i = one_plus_i.conjugate()
     assert one_plus_i * one_minus_i == ExactScalar.from_rational(2)
-    assert abs_sq(one_plus_i) == Q2(2)
+    assert one_plus_i.abs_sq() == Q2(2)
 
 
 def test_inv_sqrt2_squares_to_half():
@@ -161,6 +161,32 @@ def test_abs_exact_pythagorean():
     assert z.abs_exact() == Q2(5)
     assert abs_upper(z) == Fraction(5)
     assert abs_lower(z) == Fraction(5)
+
+
+@example(x=Fraction(0))
+@example(x=Fraction(-7, 3))
+@example(x=Fraction(-(3**200), 2**4096 - 1))
+@given(x=st.fractions() | st.builds(Fraction, st.integers(),
+                                    st.integers(1, 2**4096)))
+def test_rational_modulus_is_exact(x):
+    z = ExactScalar.from_rational(x)
+    assert abs_lower(z) == abs_upper(z) == abs(x)
+    assert type(abs_lower(z)) is type(abs_upper(z)) is Fraction
+
+
+big_fractions = st.builds(Fraction, st.integers(-2**4096, 2**4096),
+                          st.integers(1, 2**4096))
+
+
+@example(xs=[])
+@example(xs=[3, -7, 0, 2**100])
+@example(xs=[Fraction(1, 2**4096), Fraction(-1, 2**4096), Fraction(1, 3)])
+@example(xs=[Fraction(1, 2**4096 - 1), Fraction(5, 2**4095 + 1), 4])
+@given(xs=st.lists(st.integers() | fractions | big_fractions, max_size=40))
+def test_sum_ratios_is_the_fraction_sum(xs):
+    total = _sum_ratios(x.as_integer_ratio() for x in xs)
+    assert total == sum(xs, Fraction(0))
+    assert type(total) is Fraction
 
 
 def test_abs_bounds_on_irrational_modulus():

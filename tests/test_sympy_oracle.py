@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 sp = pytest.importorskip("sympy")
 
@@ -18,7 +18,7 @@ from evolalg import (  # noqa: E402  (after the importorskip guard)
     random_finite_structure,
     subspace_chain,
 )
-from evolalg.scalars import ExactScalar, Q2  # noqa: E402
+from evolalg.scalars import ExactScalar, Q2, abs_lower, abs_upper  # noqa: E402
 
 FIELD = sp.QQ.algebraic_field(sp.sqrt(2), sp.I)
 SQRT2 = FIELD.from_sympy(sp.sqrt(2))
@@ -186,3 +186,24 @@ def test_q2_inverse_quotient_and_order_match_sympy(x, y):
     assert sign in (-1, 0, 1)  # sympy decided it
     assert ((x < y), (x <= y), (x == y), (x >= y), (x > y)) == \
         (sign < 0, sign <= 0, sign == 0, sign >= 0, sign > 0)
+
+
+def _rational(f):
+    return sp.Rational(f.numerator, f.denominator)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=scalars)
+@example(x=ExactScalar(1, 1))  # |1+i| = sqrt2
+@example(x=ExactScalar(1, 2))  # |1+2i| = sqrt5, outside Q(sqrt2)
+@example(x=ExactScalar(Q2(1, 1)))  # 1+sqrt2: an exact irrational modulus
+@example(x=ExactScalar(Q2(1, -1)))  # |1-sqrt2| = sqrt2-1
+@example(x=ExactScalar(3, 4))  # |3+4i| = 5: complex, but a rational modulus
+@example(x=ExactScalar(Q2(BIG, -1), Q2(0, BIG)))
+def test_abs_brackets_enclose_the_sympy_modulus(x):
+    """For an irrational or complex scalar, abs_lower <= |x| <= abs_upper,
+    with |x| from sympy's Abs of the same value."""
+    assume(x.im or x.re.b)
+    modulus = sp.Abs(scalar_sympy(x))
+    lo, hi = abs_lower(x), abs_upper(x)
+    assert _rational(lo) <= modulus <= _rational(hi)
