@@ -30,6 +30,9 @@ from .scalars import (
 # larger exponent is refused up front instead of running for hours.
 POWER_CEILING = 4096
 
+# subspace_chain is an oracle: each step row-reduces up to n^2 products.
+CHAIN_UNIVERSE_CEILING = 12
+
 
 class Element:
     """Finite-support vector; no stored zero coefficients."""
@@ -357,29 +360,27 @@ def _reduce_basis(vectors):
 def subspace_chain(s: EvolutionStructure, n_max: int):
     """Dimensions of the principal power subspaces A^<1>, ..., A^<n_max>.
 
-    Requires a finite universe of size at most 12 (this is the oracle-scale
-    brute force, not a general-purpose routine) and n_max at most
-    POWER_CEILING.
+    A^<k+1> is spanned by x * e_j = x_j * row_j over a basis x of A^<k>.
+    Needs a finite universe of at most CHAIN_UNIVERSE_CEILING vertices and
+    n_max at most POWER_CEILING.
     """
     if s.universe is None:
         raise UniverseNotFinite("subspace chain needs a finite universe")
     n = s.universe
-    if n > 12:
-        raise InvalidParams("subspace chain is restricted to n <= 12")
+    if n > CHAIN_UNIVERSE_CEILING:
+        raise InvalidParams(f"subspace chain needs n <= CHAIN_UNIVERSE_CEILING"
+                            f" = {CHAIN_UNIVERSE_CEILING}, got {n}")
     if n_max < 1:
         raise InvalidParams("n_max must be >= 1")
     if n_max > POWER_CEILING:
         raise InvalidParams(f"n_max {n_max} exceeds the ceiling "
                             f"POWER_CEILING = {POWER_CEILING}")
-    basis_vectors = [Element.basis(i) for i in range(1, n + 1)]
+    rows = {j: square_basis(s, j) for j in range(1, n + 1)}
+    current = [Element.basis(i) for i in range(1, n + 1)]
     dims = [n]
-    current = basis_vectors
     for _ in range(2, n_max + 1):
-        products = []
-        for x in current:
-            for e in basis_vectors:
-                products.append(multiply(s, x, e))
-        current = _reduce_basis(products)
+        current = _reduce_basis([rows[j].scale(c) for x in current
+                                 for j, c in x.coeffs.items()])
         dims.append(len(current))
         if dims[-1] == dims[-2]:
             # A^<k+1> <= A^<k>, so equal dims give A^<k+2> = A^<k>*A = A^<k+1>

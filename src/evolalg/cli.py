@@ -6,7 +6,7 @@ to standard output.  Reports are byte-identical for identical invocations
 except for the "timestamp" field.
 
 Exit codes: 0 success, 2 validation/parse error, 3 analysis left inconclusive
-by the budget (analyze/index only), 64 usage error.
+by the budget (analyze/index) or by --n-max (oracle), 64 usage error.
 """
 from __future__ import annotations
 
@@ -208,7 +208,8 @@ def _cmd_export_dot(args):
 def _cmd_oracle(args):
     s = _load_structure(args)
     rep = brute_force_nilpotent(s, n_max=args.n_max)
-    return serialize_structure(s), {"n_max": args.n_max}, jsonable(rep), 0
+    return (serialize_structure(s), {"n_max": args.n_max}, jsonable(rep),
+            3 if rep.nilpotent is None else 0)
 
 
 def _cmd_families(args):

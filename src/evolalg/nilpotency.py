@@ -418,7 +418,7 @@ def permutation_is_strictly_lower(s: EvolutionStructure, order,
 
 class BruteForceReport(Record):
     dims: tuple
-    nilpotent: bool
+    nilpotent: Optional[bool]  # None: n_max cut the chain short
     index: Optional[int]
 
 
@@ -428,13 +428,14 @@ def brute_force_nilpotent(s: EvolutionStructure,
     the subspace chain A^{<1>} >= A^{<2>} >= ... directly from products.
 
     Independent of the graph route: no descendant sets, no cycle search.
+    A chain cut short before it repeats a nonzero dimension is undecided.
     """
     if s.universe is None:
         raise InvalidParams("brute force needs a finite universe")
     if n_max is None:
         n_max = s.universe + 2
-    dims = subspace_chain(s, n_max)
-    first_zero = next((k for k, d in enumerate(dims, start=1) if d == 0), None)
-    if first_zero is not None:
-        return BruteForceReport(tuple(dims), True, first_zero)
-    return BruteForceReport(tuple(dims), False, None)
+    dims = tuple(subspace_chain(s, n_max))
+    if 0 in dims:
+        return BruteForceReport(dims, True, dims.index(0) + 1)
+    repeats = any(a == b for a, b in zip(dims, dims[1:]))
+    return BruteForceReport(dims, False if repeats else None, None)

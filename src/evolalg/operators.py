@@ -200,7 +200,7 @@ def schur_certificate(s: EvolutionStructure, alpha, beta, m1, m2,
     inconclusive = False
     for i in range(1, top + 1):
         lo, hi = _schur_line_sum(s.row_of(i), alpha, top)
-        cap = m1 * beta.fn(i)
+        cap = m1 * Fraction(*beta.fn(i).as_integer_ratio())
         if lo > cap:
             return BoundCertificate("schur", "refuted", None, window,
                                     refutation_index=("row", i))
@@ -213,7 +213,7 @@ def schur_certificate(s: EvolutionStructure, alpha, beta, m1, m2,
             inconclusive = True
             continue
         lo, hi = _schur_line_sum(col, beta, top)
-        cap = m2 * alpha.fn(k)
+        cap = m2 * Fraction(*alpha.fn(k).as_integer_ratio())
         if lo > cap:
             return BoundCertificate("schur", "refuted", None, window,
                                     refutation_index=("column", k))

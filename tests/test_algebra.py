@@ -216,8 +216,23 @@ def test_subspace_chain_frozen():
     assert subspace_chain(shift_pair(), 4) == [2, 1, 0, 0]
     with pytest.raises(UniverseNotFinite):
         subspace_chain(build_family("comb"), 3)
-    with pytest.raises(InvalidParams):
-        subspace_chain(EvolutionStructure.from_rows({}, 13), 2)
+    with pytest.raises(InvalidParams, match="CHAIN_UNIVERSE_CEILING = 12"):
+        subspace_chain(EvolutionStructure.from_rows(
+            {}, algebra.CHAIN_UNIVERSE_CEILING + 1), 2)
+
+
+def test_subspace_chain_reads_each_row_once_and_never_multiplies(monkeypatch):
+    def no_multiply(*args, **kwargs):
+        raise AssertionError("subspace_chain called multiply")
+
+    monkeypatch.setattr(algebra, "multiply", no_multiply)
+    for seed in range(20):
+        s = random_finite_structure(seed)
+        reads = []
+        row_of = s.row_of
+        monkeypatch.setattr(s, "row_of", lambda i: reads.append(i) or row_of(i))
+        subspace_chain(s, s.universe + 2)
+        assert sorted(reads) == list(range(1, s.universe + 1)), seed
 
 
 def test_subspace_chain_stops_at_its_first_repeat(monkeypatch):

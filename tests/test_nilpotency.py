@@ -247,6 +247,20 @@ def test_brute_force_frozen():
         BruteForceReport((2, 1, 0, 0), True, 3)
 
 
+def test_brute_force_cut_short_is_undecided():
+    path = EvolutionStructure.from_rows({1: [(2, 1)], 2: [(3, 1)]}, 3)
+    assert brute_force_nilpotent(path) == \
+        BruteForceReport((3, 2, 1, 0, 0), True, 4)
+    # n_max stops the chain before it reaches zero or repeats a dimension
+    assert brute_force_nilpotent(path, n_max=2) == \
+        BruteForceReport((3, 2), None, None)
+    assert brute_force_nilpotent(path, n_max=1) == \
+        BruteForceReport((3,), None, None)
+    # a repeated nonzero dimension stays, so a short chain still decides
+    assert brute_force_nilpotent(two_cycle(), n_max=2) == \
+        BruteForceReport((2, 2), False, None)
+
+
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_finite_four_way_agreement(seed):

@@ -250,6 +250,24 @@ def test_schur_sums_finite_rows_past_the_window():
     assert cert.refutation_index == ("row", 1)
 
 
+def test_schur_caps_float_weights_exactly():
+    # m1 * 0.758 in binary64 rounds above the exact cap m1 * beta_1; the one
+    # weight w puts the row sum w * 0.758 strictly between the two, so the
+    # row inequality fails exactly and must not be certified
+    alpha = beta = SchurWeights(lambda i: 0.758, lambda n: 0.758)
+    m1 = m2 = Fraction(1, 10)
+    exact_cap = m1 * Fraction(0.758)
+    float_cap = Fraction(m1 * 0.758)
+    assert float_cap > exact_cap
+    w = (float_cap + exact_cap) / 2 / Fraction(0.758)
+    assert w > m1
+    s = EvolutionStructure.from_rows(
+        {1: [(1, ExactScalar.from_rational(w))]}, 1)
+    cert = schur_certificate(s, alpha, beta, m1, m2, 1)
+    assert cert.status == "refuted"
+    assert cert.refutation_index == ("row", 1)
+
+
 def growing_past_100():
     """Row i is the one edge i -> i+1, of weight 1 for i < 100 and i from
     then on: ||Omega e_i|| = i for i >= 100, so Omega is unbounded."""
