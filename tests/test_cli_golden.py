@@ -45,6 +45,8 @@ CHAIN = json.dumps({"n": 40, "rows": {
 SEED_693 = json.dumps({"n": 5, "rows": {
     "1": [[3, "-3/2"], [5, "1"]], "3": [[5, "-4/7"]], "4": [[4, "-5"]],
     "5": [[1, "1/4"]]}})
+# the path 1 -> 2 -> 3: --n-max 2 cuts its chain 3, 2, 1, 0 short
+PATH_3 = json.dumps({"n": 3, "rows": {"1": [[2, 1]], "2": [[3, 1]]}})
 # 30 vertices, steps of 2 and 3: the longest path has 14 edges.
 DAG_30 = json.dumps({"n": 30, "rows": {
     str(i): [[i + 2, "1/2"]] + ([[i + 3, "-1"]] if i % 4 == 1 else [])
@@ -124,6 +126,7 @@ def _cases():
             (["apply", "-", "--op", "gamma", "--vector", '{"3": 1, "4": 1}'
               if spec == ACYCLIC else '{"3": 1}'], spec),
         ]
+    cases.append((["oracle", "-", "--n-max", "2"], PATH_3))
     cases.append((["families", "list"], None))
     for spec, window in ((CHAIN, "39"), (SEED_693, "5"), (DAG_30, "30"),
                          (SPARSE_DAG, "300"), (SPARSE_CYCLIC, "300")):
