@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import InfiniteRowReached, InvalidParams, NoTailBound, UniverseNotFinite
-from .graph import WINDOW_CEILING, EvolutionStructure
+from .graph import EvolutionStructure
 from .records import Record
 from .scalars import (
     EX_ONE,
@@ -101,11 +101,7 @@ class Element:
         return hash(tuple(self.items()))
 
     def norm_sq(self):
-        total = None
-        for _, v in self.items():
-            a = v.abs_sq()
-            total = a if total is None else total + a
-        return total if total is not None else Fraction(0)
+        return sum((v.abs_sq() for v in self.coeffs.values()), Fraction(0))
 
     def __repr__(self):
         body = ", ".join(f"{k}: {v}" for k, v in self.items())
@@ -147,13 +143,13 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
     per such line plus the norm of whatever finite-line mass lies beyond the
     cutoff.  `weight` maps each line weight before it is scaled;
     ``l2_tail=False`` declares that mapped lines have no square-summable
-    tail, so truncating one raises NoTailBound.  On an infinite universe a
-    cutoff above WINDOW_CEILING is refused with InvalidParams: a lazy line
-    caches every entry up to the cutoff.
+    tail, so truncating one raises NoTailBound.  A cutoff follows the
+    window rule of :meth:`~EvolutionStructure.window_top`: below 1, or on an
+    infinite universe above WINDOW_CEILING, it is refused with
+    InvalidParams, since a lazy line caches every entry up to the cutoff.
     """
-    if s.universe is None and cutoff is not None and cutoff > WINDOW_CEILING:
-        raise InvalidParams(f"cutoff {cutoff} exceeds the ceiling "
-                            f"WINDOW_CEILING = {WINDOW_CEILING}")
+    if cutoff is not None:
+        s.window_top(cutoff)
     acc: dict[int, object] = {}
     tails = []  # (numerator, denominator) of each truncated line's bound
     approx = False
@@ -233,7 +229,8 @@ class NotNilUpTo(Record):
 
 
 def nil_witness_search(s: EvolutionStructure, v: Element, n_max: int):
-    """Smallest n <= n_max with v^n == 0, else NotNilUpTo(n_max).
+    """Smallest n <= n_max with v^n == 0, else NotNilUpTo(n_max); n_max is
+    at most POWER_CEILING, as in :func:`principal_power`.
 
     Exact zero tests only: if any power's support touches an infinite row the
     search raises :class:`InfiniteRowReached` (a truncated power can never
@@ -241,6 +238,9 @@ def nil_witness_search(s: EvolutionStructure, v: Element, n_max: int):
     """
     if n_max < 2:
         raise InvalidParams("n_max must be >= 2")
+    if n_max > POWER_CEILING:
+        raise InvalidParams(f"n_max {n_max} exceeds the ceiling "
+                            f"POWER_CEILING = {POWER_CEILING}")
     power = v
     if power.is_zero():
         return NilAt(1)
@@ -258,7 +258,8 @@ def inner_product(u, v):
     """Hermitian inner product <u, v> = sum_k u_k * conj(v_k).
 
     For an approximate first argument the value on the prefix is returned
-    together with an error bound tail_norm_bound * ||v||.
+    together with an error bound tail_norm_bound * ||v||; an approximate
+    second argument gives the conjugate of the swapped call.
     """
     if isinstance(u, ApproxElement):
         val = inner_product(u.prefix, v)
@@ -266,14 +267,11 @@ def inner_product(u, v):
                          * up_sqrt_frac(v.norm_sq()))
         return val, bound
     if isinstance(v, ApproxElement):
-        val = inner_product(u, v.prefix)
-        bound = up_float(Fraction(v.tail_norm_bound)
-                         * up_sqrt_frac(u.norm_sq()))
-        return val, bound
-    total = EX_ZERO
-    for k in sorted(set(u.coeffs) & set(v.coeffs)):
-        total += u.coeffs[k] * v.coeffs[k].conjugate()
-    return total
+        val, bound = inner_product(v, u)
+        return val.conjugate(), bound
+    uc, vc = u.coeffs, v.coeffs
+    return sum((uc[k] * vc[k].conjugate() for k in uc.keys() & vc.keys()),
+               EX_ZERO)
 
 
 class BasisTransform(Record):

@@ -14,7 +14,6 @@ import argparse
 import datetime
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from ._version import __version__
@@ -26,6 +25,7 @@ from .nilpotency import (IndexExact, IndexInfinite, brute_force_nilpotent,
 from .algebra import principal_power
 from .operators import (ONES, OperatorKind, apply_operator,
                         frobenius_certificate, schur_certificate)
+from .scalars import _fraction
 from .serialize import (element_jsonable, jsonable, parse_element,
                         parse_structure, read_json, serialize_structure)
 
@@ -135,52 +135,48 @@ def _parse_schur_spec(text: str):
         raise ParseError(f"unknown Schur weights; available: "
                          f"{', '.join(sorted(weights))}")
     try:
-        m1, m2 = Fraction(parts[2]), Fraction(parts[3])
-    except (ValueError, ZeroDivisionError) as e:
+        m1, m2 = _fraction(parts[2]), _fraction(parts[3])
+    except (ValueError, ZeroDivisionError, ParseError) as e:
         raise ParseError(f"M1/M2 must be rationals: {e}") from e
     return weights[alpha], weights[beta], m1, m2
 
 
-# -- subcommand handlers: return (input_part, params, result, exit_code) -----
+# -- subcommand handlers: take the structure, return (params, result,
+# exit_code); run() renders the structure as the report's input -------------
 
 
-def _cmd_analyze(args):
-    s = _load_structure(args)
+def _cmd_analyze(args, s):
     rep = classify(s, args.budget)
     code = 0
     if rep.nil.status == "inconclusive" or rep.nilpotent.status == "inconclusive":
         code = 3
-    return serialize_structure(s), {"budget": args.budget}, jsonable(rep), code
+    return {"budget": args.budget}, jsonable(rep), code
 
 
-def _cmd_index(args):
-    s = _load_structure(args)
+def _cmd_index(args, s):
     idx = classify(s, args.budget).index
     decided = isinstance(idx, (IndexExact, IndexInfinite))
-    return (serialize_structure(s), {"budget": args.budget},
-            {"index": jsonable(idx)}, 0 if decided else 3)
+    return ({"budget": args.budget}, {"index": jsonable(idx)},
+            0 if decided else 3)
 
 
-def _cmd_power(args):
-    s = _load_structure(args)
+def _cmd_power(args, s):
     elem = parse_element(args.element)
     result = principal_power(s, elem, args.n, cutoff=args.cutoff)
     params = {"n": args.n, "cutoff": args.cutoff,
               "element": element_jsonable(elem)}
-    return serialize_structure(s), params, {"power": jsonable(result)}, 0
+    return params, {"power": jsonable(result)}, 0
 
 
-def _cmd_apply(args):
-    s = _load_structure(args)
+def _cmd_apply(args, s):
     vec = parse_element(args.vector)
     result = apply_operator(s, OperatorKind(args.op), vec, cutoff=args.cutoff)
     params = {"op": args.op, "cutoff": args.cutoff,
               "vector": element_jsonable(vec)}
-    return serialize_structure(s), params, {"image": jsonable(result)}, 0
+    return params, {"image": jsonable(result)}, 0
 
 
-def _cmd_bounds(args):
-    s = _load_structure(args)
+def _cmd_bounds(args, s):
     if args.frobenius:
         cert = frobenius_certificate(s, args.window)
         params = {"kind": "frobenius", "window": args.window}
@@ -189,33 +185,23 @@ def _cmd_bounds(args):
         cert = schur_certificate(s, alpha, beta, m1, m2, args.window)
         params = {"kind": "schur", "window": args.window,
                   "M1": str(m1), "M2": str(m2)}
-    return serialize_structure(s), params, jsonable(cert), 0
+    return params, jsonable(cert), 0
 
 
-def _cmd_triangularize(args):
-    s = _load_structure(args)
+def _cmd_triangularize(args, s):
     out = triangularize_window(s, args.window)
-    return (serialize_structure(s), {"window": args.window},
-            jsonable(out), 0)
+    return {"window": args.window}, jsonable(out), 0
 
 
-def _cmd_export_dot(args):
-    s = _load_structure(args)
+def _cmd_export_dot(args, s):
     dot = export_window_dot(s, args.window)
-    return serialize_structure(s), {"window": args.window}, {"dot": dot}, 0
+    return {"window": args.window}, {"dot": dot}, 0
 
 
-def _cmd_oracle(args):
-    s = _load_structure(args)
+def _cmd_oracle(args, s):
     rep = brute_force_nilpotent(s, n_max=args.n_max)
-    return (serialize_structure(s), {"n_max": args.n_max}, jsonable(rep),
+    return ({"n_max": args.n_max}, jsonable(rep),
             3 if rep.nilpotent is None else 0)
-
-
-def _cmd_families(args):
-    listing = [{"name": name, "doc": FAMILY_DOCS[name]}
-               for name in list_families()]
-    return None, {}, {"families": listing}, 0
 
 
 _HANDLERS = {
@@ -227,7 +213,6 @@ _HANDLERS = {
     "triangularize": _cmd_triangularize,
     "export-dot": _cmd_export_dot,
     "oracle": _cmd_oracle,
-    "families": _cmd_families,
 }
 
 
@@ -239,7 +224,15 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        input_part, params, result, code = _HANDLERS[args.command](args)
+        if args.command == "families":
+            listing = [{"name": name, "doc": FAMILY_DOCS[name]}
+                       for name in list_families()]
+            input_part, params, code = None, {}, 0
+            result = {"families": listing}
+        else:
+            s = _load_structure(args)
+            params, result, code = _HANDLERS[args.command](args, s)
+            input_part = serialize_structure(s)
     except _UsageError as e:
         print(f"evolalg: error: {e}", file=sys.stderr)
         return 64

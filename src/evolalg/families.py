@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt, prod
 from typing import Callable, Optional
 
-from .errors import InvalidParams
+from .errors import InvalidParams, ParseError
 from .graph import (
     INFINITE,
     WINDOW_CEILING,
@@ -22,7 +22,7 @@ from .graph import (
     LazyRow,
 )
 from .records import Record
-from .scalars import EX_INV_SQRT2, EX_ONE, ExactScalar
+from .scalars import _QUOTE_ADVICE, EX_INV_SQRT2, EX_ONE, ExactScalar, _ratio
 
 
 class FamilySpec(Record):
@@ -30,8 +30,11 @@ class FamilySpec(Record):
     params: dict = field(default_factory=dict)
 
 
-def _exact(x) -> ExactScalar:
-    return ExactScalar.from_rational(x)
+def _every_rank_infinite(no_window_reentry: Optional[bool] = None
+                         ) -> FamilyMeta:
+    """The rank facts of a family in which every vertex has infinite rank."""
+    return FamilyMeta(rank=lambda i: INFINITE, sup_rank=INFINITE,
+                      ranks_finite=False, no_window_reentry=no_window_reentry)
 
 
 # -- r-ary tree --------------------------------------------------------------
@@ -101,13 +104,8 @@ def _build_rary_tree(params: dict) -> EvolutionStructure:
             return FiniteRow(())
         return FiniteRow(((rary_parent(i, r), EX_ONE),))
 
-    meta = FamilyMeta(
-        # every vertex heads the ray through its first children
-        rank=lambda i: INFINITE,
-        sup_rank=INFINITE,
-        ranks_finite=False,
-        no_window_reentry=True,
-    )
+    # every vertex heads the ray through its first children
+    meta = _every_rank_infinite(no_window_reentry=True)
     return EvolutionStructure(row, None, col, meta,
                               source={"kind": "family", "family": "rary_tree",
                                       "params": {"r": r}})
@@ -151,7 +149,7 @@ def _periodic(name: str, params: dict, meta: FamilyMeta, pattern,
         def factory():
             j, w = 2, first
             while True:
-                yield j, _exact(w)
+                yield j, ExactScalar.from_rational(w)
                 w *= ratios[j % cycle]
                 j += 1
 
@@ -165,7 +163,7 @@ def _periodic(name: str, params: dict, meta: FamilyMeta, pattern,
 
         def hub_weight(k):
             n, m = divmod(k - 2, cycle)
-            return _exact(heads[m] * per_cycle ** n)
+            return ExactScalar.from_rational(heads[m] * per_cycle ** n)
 
     def row(i):
         if i < first_row:
@@ -199,9 +197,10 @@ def markov_weight(j: int, q: Fraction) -> Fraction:
 def _build_markov_line(params: dict) -> EvolutionStructure:
     _check_keys("markov_line", params, frozenset({"ratio"}))
     try:
-        q = Fraction(params.get("ratio", Fraction(1, 2)))
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
-        raise InvalidParams(f"markov_line ratio is not a rational: {e}") from e
+        q = Fraction(*_ratio(params.get("ratio", Fraction(1, 2))))
+    except (TypeError, ValueError, ZeroDivisionError, ParseError) as e:
+        raise InvalidParams(f"markov_line ratio is not a rational: {e}; "
+                            f"{_QUOTE_ADVICE}") from e
     if not 0 < q < 1:
         raise InvalidParams("markov_line ratio must satisfy 0 < ratio < 1")
 
@@ -213,13 +212,8 @@ def _build_markov_line(params: dict) -> EvolutionStructure:
         n = max(n, 1)
         return (1 - q) * q ** (2 * (n - 1)) / (1 + q)
 
-    meta = FamilyMeta(
-        # 1 -> 2 -> 3 -> ... is an infinite ray, and so is each of its tails
-        rank=lambda i: INFINITE,
-        sup_rank=INFINITE,
-        ranks_finite=False,
-        no_window_reentry=True,
-    )
+    # 1 -> 2 -> 3 -> ... is an infinite ray, and so is each of its tails
+    meta = _every_rank_infinite(no_window_reentry=True)
     return _periodic("markov_line", {"ratio": str(q)}, meta,
                      (((1, EX_ONE),),),
                      hub=(1 - q, (q,), tail_sq, tail_abs))
@@ -231,13 +225,8 @@ def _build_markov_line(params: dict) -> EvolutionStructure:
 def _build_alt_line_B(params: dict) -> EvolutionStructure:
     if params:
         raise InvalidParams("alt_line_B takes no parameters")
-    meta = FamilyMeta(
-        # every vertex reaches the self-loop at an even vertex
-        rank=lambda i: INFINITE,
-        sup_rank=INFINITE,
-        ranks_finite=False,
-    )
-    return _periodic("alt_line_B", {}, meta,
+    # every vertex reaches the self-loop at an even vertex
+    return _periodic("alt_line_B", {}, _every_rank_infinite(),
                      (((0, EX_ONE), (1, EX_ONE)),    # even i
                       ((1, EX_ONE), (2, EX_ONE))))   # odd i
 
@@ -251,13 +240,8 @@ def _build_alt_line_C0(params: dict) -> EvolutionStructure:
     if params:
         raise InvalidParams("alt_line_C0 takes no parameters")
     p, m = EX_INV_SQRT2, -EX_INV_SQRT2
-    meta = FamilyMeta(
-        # every row contains its own index: a self-loop at every vertex
-        rank=lambda i: INFINITE,
-        sup_rank=INFINITE,
-        ranks_finite=False,
-    )
-    return _periodic("alt_line_C0", {}, meta,
+    # every row contains its own index: a self-loop at every vertex
+    return _periodic("alt_line_C0", {}, _every_rank_infinite(),
                      (((-1, p), (0, p), (1, p), (2, m)),    # even i
                       ((0, p), (1, p), (2, p), (3, m))))    # odd i
 
@@ -280,16 +264,12 @@ def _build_hub_line(params: dict) -> EvolutionStructure:
     alpha = _HUB_ALPHA.get(kind) if isinstance(kind, str) else None
     if alpha is None:
         raise InvalidParams("hub_line alpha must be 'generic' or 'paired'")
-    meta = FamilyMeta(
-        # a self-loop at every vertex >= 2, and vertex 1 feeds them all
-        rank=lambda i: INFINITE,
-        sup_rank=INFINITE,
-        ranks_finite=False,
-    )
-    # both alpha choices sit under the envelope |alpha_l| <= 2^-(l-1)
-    return _periodic("hub_line", {"alpha": kind}, meta,
+    # a self-loop at every vertex >= 2, and vertex 1 feeds them all
+    return _periodic("hub_line", {"alpha": kind}, _every_rank_infinite(),
                      (((0, EX_ONE), (1, EX_ONE)),     # even i
                       ((-1, EX_ONE), (0, EX_ONE))),   # odd i >= 3
+                     # both alpha choices sit under the envelope
+                     # |alpha_l| <= 2^-(l-1)
                      hub=(*alpha,
                           lambda n: Fraction(4, 3) / 4 ** max(n, 1),
                           lambda n: Fraction(2, 2 ** max(n, 1))))

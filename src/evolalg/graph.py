@@ -309,19 +309,16 @@ class EvolutionStructure:
             self._rows[i] = row
         return row
 
-    def clip(self, window: int) -> int:
-        """The last vertex of the window {1..window} that exists."""
-        return window if self.universe is None else min(window, self.universe)
-
     def window_top(self, window: int) -> int:
-        """``clip(window)`` of a window that is at least 1 and, on an
-        infinite universe, at most WINDOW_CEILING; InvalidParams otherwise."""
+        """The last vertex of the window {1..window} that exists, for a
+        window that is at least 1 and, on an infinite universe, at most
+        WINDOW_CEILING; InvalidParams otherwise."""
         if window < 1:
             raise InvalidParams("window must be >= 1")
         if self.universe is None and window > WINDOW_CEILING:
             raise InvalidParams(f"window {window} exceeds the ceiling "
                                 f"WINDOW_CEILING = {WINDOW_CEILING}")
-        return self.clip(window)
+        return window if self.universe is None else min(window, self.universe)
 
     def column_of(self, i: int) -> Row:
         self._check_vertex(i)
@@ -531,14 +528,6 @@ def cycle_search(s: EvolutionStructure, window: int, budget: int):
     return path, completed
 
 
-def _universe_targets(s: EvolutionStructure, top: int) -> Optional[list]:
-    """The target tuples of a :meth:`~EvolutionStructure.from_rows` table,
-    indexed by vertex, when {1..top} is the whole finite universe; None
-    otherwise, and then rows are read through ``row_of(v).targets_upto(top)``.
-    """
-    return s._targets if top == s.universe else None
-
-
 def window_dfs(s: EvolutionStructure, window: int, budget: int):
     """The depth-first search behind :func:`cycle_search`, with what it read.
 
@@ -548,14 +537,15 @@ def window_dfs(s: EvolutionStructure, window: int, budget: int):
     :func:`cycle_search`; `finished` lists the vertices in the order the
     search finished them, each after all of its descendants, so on a
     cycle-free window sinks come first; `targets` maps each vertex read to
-    its targets within the window (the table of :func:`_universe_targets`
-    where there is one, which also maps the vertices not read).  Iterative
-    over int arrays (color, parent, the next target to follow), so long
-    paths cannot overflow the interpreter stack.
+    its targets within the window (the ``from_rows`` table of every
+    vertex's targets when the window is the whole universe, which also maps
+    the vertices not read).  Iterative over int arrays (color, parent, the
+    next target to follow), so long paths cannot overflow the interpreter
+    stack.
     """
     top = s.window_top(window)
     left = INFINITE if top == s.universe else budget
-    table = _universe_targets(s, top)
+    table = s._targets if top == s.universe else None
     adjacency: Union[list, dict] = {} if table is None else table
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * (top + 1)

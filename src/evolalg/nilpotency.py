@@ -28,7 +28,6 @@ from .graph import (
     INFINITE,
     WINDOW_CEILING,
     EvolutionStructure,
-    _universe_targets,
     descendants_generation,
     path_is_valid,
     window_dfs,
@@ -345,7 +344,7 @@ def triangularize_window(s: EvolutionStructure, window: int):
 
     # pending[v] counts the targets of v not removed yet (a row's targets
     # are distinct, and a self-loop returns at once)
-    table = _universe_targets(s, top)
+    table = s._targets if top == s.universe else None
     targets_of: list = [()] * (top + 1) if table is None else table
     pending = [0] * (top + 1)
     stuck = set()

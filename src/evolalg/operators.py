@@ -93,12 +93,7 @@ def summability_check(s: EvolutionStructure, axis: str, index: int, window: int)
     if window < 0:
         raise InvalidParams("window must be >= 0")
     entries, exhausted, _ = line.upto(window)
-    total = None
-    for _, w in entries:
-        a = w.abs_sq()
-        total = a if total is None else total + a
-    if total is None:
-        total = Fraction(0)
+    total = sum((w.abs_sq() for _, w in entries), Fraction(0))
     if exhausted:
         return FiniteCertified(total, Fraction(0))
     try:
@@ -198,27 +193,24 @@ def schur_certificate(s: EvolutionStructure, alpha, beta, m1, m2,
         raise InvalidParams("Schur constants must be positive")
 
     inconclusive = False
-    for i in range(1, top + 1):
-        lo, hi = _schur_line_sum(s.row_of(i), alpha, top)
-        cap = m1 * Fraction(*beta.fn(i).as_integer_ratio())
-        if lo > cap:
-            return BoundCertificate("schur", "refuted", None, window,
-                                    refutation_index=("row", i))
-        if hi is None or hi > cap:
-            inconclusive = True
-    for k in range(1, top + 1):
-        try:
-            col = s.column_of(k)
-        except NoColumnAccess:
-            inconclusive = True
-            continue
-        lo, hi = _schur_line_sum(col, beta, top)
-        cap = m2 * Fraction(*alpha.fn(k).as_integer_ratio())
-        if lo > cap:
-            return BoundCertificate("schur", "refuted", None, window,
-                                    refutation_index=("column", k))
-        if hi is None or hi > cap:
-            inconclusive = True
+    # row i: sum_k |w_ik| alpha_k <= m1 beta_i; column k: the same with the
+    # roles of alpha and beta, m1 and m2 swapped
+    for axis, line_of, weights, caps, m in (
+            ("row", s.row_of, alpha, beta, m1),
+            ("column", s.column_of, beta, alpha, m2)):
+        for i in range(1, top + 1):
+            try:
+                line = line_of(i)
+            except NoColumnAccess:
+                inconclusive = True
+                continue
+            lo, hi = _schur_line_sum(line, weights, top)
+            cap = m * Fraction(*caps.fn(i).as_integer_ratio())
+            if lo > cap:
+                return BoundCertificate("schur", "refuted", None, window,
+                                        refutation_index=(axis, i))
+            if hi is None or hi > cap:
+                inconclusive = True
     if inconclusive:
         return BoundCertificate("schur", "inconclusive", None, window,
                                 detail={"note": "boundedness undecided"})
@@ -265,21 +257,11 @@ def adjoint_pairing_residual(s: EvolutionStructure, i: int, v: Element):
     """
     s._check_vertex(i)
     sup = v.support()
-    lhs = None
-    if sup:
-        entries, _, _ = s.row_of(i).upto(sup[-1])
-        coeffs = dict(entries)
-        for k in sup:
-            if k in coeffs:
-                t = coeffs[k] * v.coeffs[k].conjugate()
-                lhs = t if lhs is None else lhs + t
+    coeffs = dict(s.row_of(i).upto(sup[-1])[0]) if sup else {}
+    lhs = sum((coeffs[k] * v.coeffs[k].conjugate()
+               for k in sup if k in coeffs), EX_ZERO)
     gamma_v = apply_operator(s, OperatorKind.GAMMA, v)
-    rhs = None
-    if i in gamma_v.coeffs:
-        rhs = gamma_v.coeffs[i].conjugate()
-    lhs = EX_ZERO if lhs is None else lhs
-    rhs = EX_ZERO if rhs is None else rhs
-    return lhs - rhs
+    return lhs - gamma_v.coeffs.get(i, EX_ZERO).conjugate()
 
 
 def left_mult_bound(s: EvolutionStructure, v: Element) -> float:

@@ -82,7 +82,7 @@ def serialize_structure(s: EvolutionStructure) -> dict:
     return {
         "mode": "exact",
         "universe": s.universe,
-        "source": jsonable(s.source if s.source is not None else {"kind": "opaque"}),
+        "source": jsonable(s.source),
     }
 
 

@@ -115,6 +115,9 @@ def test_nil_search_on_cycle_and_lazy():
         nil_witness_search(mk, Element.basis(1), 5)
     with pytest.raises(InvalidParams):
         nil_witness_search(mk, Element.basis(2), 1)
+    # each step is one product, so the step count is capped up front
+    with pytest.raises(InvalidParams, match="POWER_CEILING"):
+        nil_witness_search(mk, Element.basis(2), algebra.POWER_CEILING + 1)
 
 
 def test_principal_power_truncation_rules():
@@ -166,6 +169,15 @@ def test_inner_product_forms():
     val, bound = inner_product(
         ApproxElement(Element.basis(1), 3, 0.25), Element.basis(1))
     assert val == EX_ONE and bound == pytest.approx(0.25)
+    # an approximate second argument: the conjugate, with the same bound
+    w = Element({1: ExactScalar.from_rational(0, 1), 2: EX_ONE})  # i e1 + e2
+    approx = ApproxElement(
+        Element({1: EX_ONE, 2: ExactScalar.from_rational(2, 3)}), 3, 0.25)
+    val, bound = inner_product(w, approx)
+    swapped, swapped_bound = inner_product(approx, w)
+    assert val == ExactScalar.from_rational(2, -2)  # i + (2 - 3i)
+    assert val == swapped.conjugate()
+    assert bound == swapped_bound >= 0.25 * math.sqrt(2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -196,11 +196,16 @@ def test_bounds_schur():
 
 
 def test_bounds_schur_bad_args():
-    for schur in ("bogus,ones,1,2", "ones,ones,x,2", "ones,ones,1"):
-        code, out, err = invoke(["bounds", "--family", "markov_line",
+    # an exponent past the int-string limit is refused before Fraction
+    # builds 10**exponent in full
+    for schur in ("bogus,ones,1,2", "ones,ones,x,2", "ones,ones,1",
+                  "ones,ones,1e999999999,1", "ones,ones,1,1e-999999999"):
+        start = time.monotonic()
+        code, out, err = invoke(["bounds", "--family", "comb",
                                  "--schur", schur])
         assert (code, out) == (2, "")
-        assert "ParseError" in err
+        assert err.startswith("evolalg: ParseError:"), err
+        assert time.monotonic() - start < 1.0
 
 
 def test_bounds_frobenius_finite():
@@ -346,6 +351,13 @@ def test_windows_past_the_ceiling_exit_2_at_once():
         assert err.startswith("evolalg: InvalidParams:"), err
         assert f"WINDOW_CEILING = {WINDOW_CEILING}" in err
         assert time.monotonic() - start < 1.0
+    # a cutoff below 1 is refused as a window below 1 is, on any universe
+    for argv, stdin in ((apply + ["0"], None), (apply + ["-3"], None),
+                        (["apply", "-", "--op", "omega", "--vector",
+                          '{"1": 1}', "--cutoff", "0"], TWO_CYCLE)):
+        code, out, err = invoke(argv, stdin)
+        assert (code, out) == (2, ""), argv
+        assert err == "evolalg: InvalidParams: window must be >= 1\n"
     # a finite universe clips the window to its own size instead
     code, rep = report(["triangularize", "-", "--window", "30000000"],
                        TWO_CYCLE)
@@ -440,11 +452,18 @@ def test_malformed_family_params_exit_2():
     for fam, params in (("markov_line", {"ratio": "abc"}),
                         ("markov_line", {"ratio": "1/0"}),
                         ("markov_line", {"ratio": [1]}),
+                        ("markov_line", {"ratio": 0.1}),
+                        ("markov_line", {"ratio": "1e-999999999"}),
+                        ("markov_line", {"ratio": "1e999999999"}),
                         ("finite_explicit", explicit)):
+        start = time.monotonic()
         code, out, err = invoke(["analyze", "--family", fam,
                                  "--params", json.dumps(params)])
         assert (code, out) == (2, ""), params
         assert err.startswith("evolalg: InvalidParams:"), err
+        if fam == "markov_line":
+            assert '"0.5", "1/2"' in err  # the advice to quote it
+        assert time.monotonic() - start < 1.0
 
 
 def test_float_specs_out_of_range_exit_2():

@@ -132,6 +132,23 @@ def test_frobenius_certificates():
     assert cert.bound is None
 
 
+def test_frobenius_needs_a_tail_bound_on_every_lazy_row():
+    # the metadata bounds the rows past the window, which is not enough
+    # when row 1, inside it, is lazy with no tail bound of its own
+    def with_row_1(line):
+        return EvolutionStructure(
+            lambda i: line if i == 1 else FiniteRow(()),
+            meta=FamilyMeta(frobenius_tail_sq=lambda n: Fraction(0)))
+
+    cert = frobenius_certificate(
+        with_row_1(halving_line(lambda n: Fraction(1, 3 * 4 ** n))), 3)
+    assert cert.status == "certified"
+    assert cert.detail["total_sq"] == "1/12"
+    cert = frobenius_certificate(with_row_1(halving_line()), 3)
+    assert cert.status == "inconclusive" and cert.bound is None
+    assert cert.detail["partial_sq"] == "5/64"
+
+
 def test_schur_frozen_triple():
     mk = build_family("markov_line")
     refuted_small = schur_certificate(mk, ONES, ONES, Fraction(1, 2), 2, 2)
@@ -212,15 +229,20 @@ def test_matrix_window_adjoint_is_conjugate_transpose(seed, n):
             assert gamma[k][i] == omega[i][k].conjugate()
 
 
-def lazy_column_structure():
-    # column 1 is lazy: w_k1 = 2^-k for k >= 2, with squared tail 4^-n
+def halving_line(tail_sq_bound=None):
+    """The lazy line w_k = 2^-k for k >= 2."""
     def gen():
         k = 2
         while True:
             yield k, ExactScalar.from_rational(Fraction(1, 2 ** k))
             k += 1
 
-    column = LazyRow(gen, tail_sq_bound=lambda n: Fraction(1, 4 ** n))
+    return LazyRow(gen, tail_sq_bound=tail_sq_bound)
+
+
+def lazy_column_structure():
+    # column 1 is lazy: w_k1 = 2^-k for k >= 2, with squared tail 4^-n
+    column = halving_line(lambda n: Fraction(1, 4 ** n))
     return EvolutionStructure(lambda i: FiniteRow(()),
                               column_fn=lambda k: column if k == 1
                               else FiniteRow(()))
@@ -248,6 +270,41 @@ def test_schur_sums_finite_rows_past_the_window():
     cert = schur_certificate(s, ONES, ONES, 1, 2, window=10)
     assert cert.status == "refuted"
     assert cert.refutation_index == ("row", 1)
+
+
+def test_schur_column_with_no_upper_sum_is_inconclusive():
+    # column 1 holds weight-1 entries from row 5 on: its partial sum on the
+    # window is 0, within the cap, but nothing bounds the rest
+    def ones_from_5():
+        k = 5
+        while True:
+            yield k, EX_ONE
+            k += 1
+
+    def with_column_1(column):
+        return EvolutionStructure(
+            lambda i: FiniteRow(()),
+            column_fn=lambda k: column if k == 1 else FiniteRow(()))
+
+    cert = schur_certificate(with_column_1(LazyRow(ones_from_5)),
+                             ONES, ONES, 1, 1, window=4)
+    assert cert.status == "inconclusive"
+    cert = schur_certificate(with_column_1(FiniteRow(((5, EX_ONE),))),
+                             ONES, ONES, 1, 1, window=4)
+    assert cert.status == "certified"
+
+
+def test_finite_row_mass_past_the_cutoff_enters_the_tail_bound():
+    # row 45 of markov_line is the unit edge 45 -> 46, past the cutoff 40:
+    # it is dropped from the prefix and its norm added to row 1's lazy tail
+    mk = build_family("markov_line")
+    alone = apply_operator(mk, OperatorKind.OMEGA, Element.basis(1),
+                           cutoff=40)
+    both = apply_operator(mk, OperatorKind.OMEGA,
+                          Element.basis(1) + Element.basis(45), cutoff=40)
+    assert both.prefix == alone.prefix
+    assert alone.tail_norm_bound < 1e-11
+    assert both.tail_norm_bound >= 1 + alone.tail_norm_bound
 
 
 def test_schur_caps_float_weights_exactly():
