@@ -136,6 +136,7 @@ def _parse_schur_spec(text: str):
                          f"{', '.join(sorted(weights))}")
     try:
         m1, m2 = _fraction(parts[2]), _fraction(parts[3])
+        str(m1), str(m2)  # echoed in the report; ValueError past the limit
     except (ValueError, ZeroDivisionError, ParseError) as e:
         raise ParseError(f"M1/M2 must be rationals: {e}") from e
     return weights[alpha], weights[beta], m1, m2

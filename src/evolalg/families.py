@@ -198,6 +198,7 @@ def _build_markov_line(params: dict) -> EvolutionStructure:
     _check_keys("markov_line", params, frozenset({"ratio"}))
     try:
         q = Fraction(*_ratio(params.get("ratio", Fraction(1, 2))))
+        ratio = str(q)  # echoed in the report; ValueError past the limit
     except (TypeError, ValueError, ZeroDivisionError, ParseError) as e:
         raise InvalidParams(f"markov_line ratio is not a rational: {e}; "
                             f"{_QUOTE_ADVICE}") from e
@@ -214,7 +215,7 @@ def _build_markov_line(params: dict) -> EvolutionStructure:
 
     # 1 -> 2 -> 3 -> ... is an infinite ray, and so is each of its tails
     meta = _every_rank_infinite(no_window_reentry=True)
-    return _periodic("markov_line", {"ratio": str(q)}, meta,
+    return _periodic("markov_line", {"ratio": ratio}, meta,
                      (((1, EX_ONE),),),
                      hub=(1 - q, (q,), tail_sq, tail_abs))
 

@@ -199,7 +199,9 @@ def test_bounds_schur_bad_args():
     # an exponent past the int-string limit is refused before Fraction
     # builds 10**exponent in full
     for schur in ("bogus,ones,1,2", "ones,ones,x,2", "ones,ones,1",
-                  "ones,ones,1e999999999,1", "ones,ones,1,1e-999999999"):
+                  "ones,ones,1e999999999,1", "ones,ones,1,1e-999999999",
+                  # within the exponent limit, but too long to echo
+                  "ones,ones,1e4300,1e-4300"):
         start = time.monotonic()
         code, out, err = invoke(["bounds", "--family", "comb",
                                  "--schur", schur])
@@ -455,6 +457,7 @@ def test_malformed_family_params_exit_2():
                         ("markov_line", {"ratio": 0.1}),
                         ("markov_line", {"ratio": "1e-999999999"}),
                         ("markov_line", {"ratio": "1e999999999"}),
+                        ("markov_line", {"ratio": "1e-4300"}),
                         ("finite_explicit", explicit)):
         start = time.monotonic()
         code, out, err = invoke(["analyze", "--family", fam,
