@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import InfiniteRowReached, InvalidParams, NoTailBound, UniverseNotFinite
-from .graph import EvolutionStructure
+from .graph import EvolutionStructure, _window_top
 from .records import Record
 from .scalars import (
     EX_ONE,
@@ -32,6 +32,15 @@ POWER_CEILING = 4096
 
 # subspace_chain is an oracle: each step row-reduces up to n^2 products.
 CHAIN_UNIVERSE_CEILING = 12
+
+
+def _check_steps(name: str, n: int, least: int) -> None:
+    """Refuse a power or chain length `name` below `least` or too large."""
+    if n < least:
+        raise InvalidParams(f"{name} must be >= {least}")
+    if n > POWER_CEILING:
+        raise InvalidParams(f"{name} {n} exceeds the ceiling POWER_CEILING = "
+                            f"{POWER_CEILING}")
 
 
 class Element:
@@ -136,20 +145,20 @@ def _expand(s: EvolutionStructure, terms, cutoff: Optional[int],
             axis: str = "row"):
     """Sum of c * line over (index, coefficient, line) triples.
 
-    Finite lines are used in full.  Without a cutoff a lazy line must turn
-    out finite within its probe, else NoTailBound.  With one, a lazy line
-    longer than the cutoff contributes its prefix, and the result is an
-    :class:`ApproxElement` whose tail bound adds |c| * sqrt(tail_sq(cutoff))
-    per such line plus the norm of whatever finite-line mass lies beyond the
-    cutoff.  `weight` maps each line weight before it is scaled;
-    ``l2_tail=False`` declares that mapped lines have no square-summable
-    tail, so truncating one raises NoTailBound.  A cutoff follows the
-    window rule of :meth:`~EvolutionStructure.window_top`: below 1, or on an
-    infinite universe above WINDOW_CEILING, it is refused with
-    InvalidParams, since a lazy line caches every entry up to the cutoff.
+    Finite lines are used in full.  A lazy line is infinite, so without a
+    cutoff it raises NoTailBound before any entry is pulled.  With one, it
+    contributes its prefix, and the result is an :class:`ApproxElement`
+    whose tail bound adds |c| * sqrt(tail_sq(cutoff)) per lazy line plus
+    the norm of whatever finite-line mass lies beyond the cutoff.  `weight`
+    maps each line weight before it is scaled; ``l2_tail=False`` declares
+    that mapped lines have no square-summable tail, so truncating one
+    raises NoTailBound.  A cutoff follows the window rule of
+    :meth:`~EvolutionStructure.window_top`: below 1, or on an infinite
+    universe above WINDOW_CEILING, it is refused with InvalidParams, since a
+    lazy line caches every entry up to the cutoff.
     """
     if cutoff is not None:
-        s.window_top(cutoff)
+        _window_top(s.universe, cutoff, "cutoff")
     acc: dict[int, object] = {}
     tails = []  # (numerator, denominator) of each truncated line's bound
     approx = False
@@ -205,11 +214,7 @@ def multiply(s: EvolutionStructure, u: Element, v: Element,
 def principal_power(s: EvolutionStructure, v: Element, n: int,
                     cutoff: Optional[int] = None):
     """v^n under the principal powers v^(k+1) = v^k * v; v^1 = v."""
-    if n < 1:
-        raise InvalidParams("power must be >= 1")
-    if n > POWER_CEILING:
-        raise InvalidParams(f"power {n} exceeds the ceiling POWER_CEILING = "
-                            f"{POWER_CEILING}")
+    _check_steps("power", n, 1)
     acc: Union[Element, ApproxElement] = v
     for _ in range(n - 1):
         if isinstance(acc, ApproxElement):
@@ -236,11 +241,7 @@ def nil_witness_search(s: EvolutionStructure, v: Element, n_max: int):
     search raises :class:`InfiniteRowReached` (a truncated power can never
     certify vanishing).
     """
-    if n_max < 2:
-        raise InvalidParams("n_max must be >= 2")
-    if n_max > POWER_CEILING:
-        raise InvalidParams(f"n_max {n_max} exceeds the ceiling "
-                            f"POWER_CEILING = {POWER_CEILING}")
+    _check_steps("n_max", n_max, 2)
     power = v
     if power.is_zero():
         return NilAt(1)
@@ -368,11 +369,7 @@ def subspace_chain(s: EvolutionStructure, n_max: int):
     if n > CHAIN_UNIVERSE_CEILING:
         raise InvalidParams(f"subspace chain needs n <= CHAIN_UNIVERSE_CEILING"
                             f" = {CHAIN_UNIVERSE_CEILING}, got {n}")
-    if n_max < 1:
-        raise InvalidParams("n_max must be >= 1")
-    if n_max > POWER_CEILING:
-        raise InvalidParams(f"n_max {n_max} exceeds the ceiling "
-                            f"POWER_CEILING = {POWER_CEILING}")
+    _check_steps("n_max", n_max, 1)
     rows = {j: square_basis(s, j) for j in range(1, n + 1)}
     current = [Element.basis(i) for i in range(1, n + 1)]
     dims = [n]

@@ -25,7 +25,7 @@ from .nilpotency import (IndexExact, IndexInfinite, brute_force_nilpotent,
 from .algebra import principal_power
 from .operators import (ONES, OperatorKind, apply_operator,
                         frobenius_certificate, schur_certificate)
-from .scalars import _fraction
+from .scalars import _echo_rational, _fraction
 from .serialize import (element_jsonable, jsonable, parse_element,
                         parse_structure, read_json, serialize_structure)
 
@@ -136,9 +136,11 @@ def _parse_schur_spec(text: str):
                          f"{', '.join(sorted(weights))}")
     try:
         m1, m2 = _fraction(parts[2]), _fraction(parts[3])
-        str(m1), str(m2)  # echoed in the report; ValueError past the limit
-    except (ValueError, ZeroDivisionError, ParseError) as e:
+        _echo_rational(m1, parts[2]), _echo_rational(m2, parts[3])
+    except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"M1/M2 must be rationals: {e}") from e
+    except ParseError as e:  # past the digit limit
+        raise ParseError(f"M1/M2: {e}") from e
     return weights[alpha], weights[beta], m1, m2
 
 

@@ -22,7 +22,8 @@ from .graph import (
     LazyRow,
 )
 from .records import Record
-from .scalars import _QUOTE_ADVICE, EX_INV_SQRT2, EX_ONE, ExactScalar, _ratio
+from .scalars import (_QUOTE_ADVICE, EX_INV_SQRT2, EX_ONE, ExactScalar,
+                      _echo_rational, _ratio)
 
 
 class FamilySpec(Record):
@@ -196,12 +197,17 @@ def markov_weight(j: int, q: Fraction) -> Fraction:
 
 def _build_markov_line(params: dict) -> EvolutionStructure:
     _check_keys("markov_line", params, frozenset({"ratio"}))
+    given = params.get("ratio", Fraction(1, 2))
     try:
-        q = Fraction(*_ratio(params.get("ratio", Fraction(1, 2))))
-        ratio = str(q)  # echoed in the report; ValueError past the limit
-    except (TypeError, ValueError, ZeroDivisionError, ParseError) as e:
-        raise InvalidParams(f"markov_line ratio is not a rational: {e}; "
-                            f"{_QUOTE_ADVICE}") from e
+        q = Fraction(*_ratio(given))
+        ratio = _echo_rational(q, given)  # echoed in the report
+    except TypeError:  # neither a string nor a rational, such as 0.1 or [1]
+        raise InvalidParams(f"markov_line ratio {given!r} is not a rational; "
+                            f"{_QUOTE_ADVICE}") from None
+    except (ValueError, ZeroDivisionError) as e:  # such as "abc" or "1/0"
+        raise InvalidParams(f"markov_line ratio is not a rational: {e}") from e
+    except ParseError as e:  # past the digit limit
+        raise InvalidParams(f"markov_line ratio: {e}") from e
     if not 0 < q < 1:
         raise InvalidParams("markov_line ratio must satisfy 0 < ratio < 1")
 

@@ -33,10 +33,6 @@ Entry = Tuple[VertexId, object]  # (target, weight)
 
 INFINITE = math.inf
 
-
-# A lazy row without a cutoff is probed this far before it counts as infinite.
-LAZY_ROW_PROBE = 4096
-
 # A window {1..window} on an infinite universe may span at most this many
 # vertices: windowed routines build a row and some state for every vertex in
 # it, so their time and memory grow with the window (a Schur certificate on
@@ -76,13 +72,50 @@ def _vertex_key(key, what: str) -> int:
     raise ParseError(f"{what} key {key!r} is not an integer")
 
 
-class FiniteRow(Record):
-    """Fully materialised row; entries strictly increasing by target.
+class Row:
+    """A row: ``entries`` known so far, strictly increasing by target, and
+    their ``_targets`` in parallel.  Row kinds differ only in how entries
+    arrive, through :meth:`_reach`, which leaves one more entry known past
+    any read of a row that goes on; so a read that takes every known entry
+    has exhausted the row, and otherwise it enumerated one entry more.
+    """
 
-    It shares its reading methods with :class:`LazyRow`; each returns what
-    the lazy row would return once materialised in full.  The targets are
-    kept as an int tuple in a slot that is no dataclass field, checked once
-    when the row is built, or by the caller that hands them over.
+    __slots__ = ()
+
+    def _reach(self, count: int, top: int) -> None:
+        """Know more than `count` entries and a target above `top`, as far
+        as the row goes; a finite row knows every entry already."""
+
+    def first(self, count: int) -> Tuple[list, bool]:
+        """First `count` entries and whether the row was exhausted by them."""
+        if count < 0:
+            raise InvalidParams("count must be >= 0")
+        self._reach(count, 0)
+        return list(self.entries[:count]), len(self.entries) <= count
+
+    def upto(self, max_vertex: int) -> Tuple[list, bool, int]:
+        """(entries with target <= max_vertex, exhausted, entries enumerated),
+        where the first entry past max_vertex, which shows that the row goes
+        on, counts as enumerated."""
+        self._reach(0, max_vertex)
+        count = bisect_right(self._targets, max_vertex)
+        exhausted = count == len(self.entries)
+        return list(self.entries[:count]), exhausted, count + (not exhausted)
+
+    def targets_upto(self, max_vertex: int) -> Tuple[Sequence[int], bool, int]:
+        """:meth:`upto` with the targets alone, counted the same way."""
+        self._reach(0, max_vertex)
+        targets = self._targets
+        count = bisect_right(targets, max_vertex)
+        if count == len(targets):
+            return targets, True, count
+        return targets[:count], False, count + 1
+
+
+class FiniteRow(Row, Record):
+    """Fully materialised row.  The targets are kept as an int tuple in a
+    slot that is no dataclass field, checked once when the row is built, or
+    by the caller that hands them over.
     """
 
     __slots__ = ("entries", "_targets")
@@ -90,9 +123,8 @@ class FiniteRow(Record):
 
     def __init__(self, entries: Tuple[Entry, ...],
                  targets: Optional[Tuple[int, ...]] = None):
-        # written out, not the shared Record.__init__: it checks the target
-        # order and fills the `_targets` slot, which is no field.  Given
-        # `targets`, the caller has built and checked them from `entries`.
+        # written out, not Record.__init__: it checks the target order and
+        # fills the `_targets` slot; given `targets`, the caller checked them
         if targets is None:
             targets = tuple([k for k, _w in entries])
             last = 0
@@ -110,25 +142,6 @@ class FiniteRow(Record):
     def __iter__(self) -> Iterator[Entry]:
         return iter(self.entries)
 
-    def first(self, count: int) -> Tuple[list, bool]:
-        """First `count` entries and whether the row was exhausted by them."""
-        return list(self.entries[:count]), len(self.entries) <= count
-
-    def upto(self, max_vertex: int) -> Tuple[list, bool, int]:
-        """(entries with target <= max_vertex, exhausted, entries enumerated)."""
-        count = bisect_right(self._targets, max_vertex)
-        exhausted = count == len(self.entries)
-        return list(self.entries[:count]), exhausted, count + (not exhausted)
-
-    def targets_upto(self, max_vertex: int) -> Tuple[Sequence[int], bool, int]:
-        """(targets <= max_vertex, exhausted, entries enumerated), counted
-        like :meth:`upto`."""
-        targets = self._targets
-        count = bisect_right(targets, max_vertex)
-        if count == len(targets):
-            return targets, True, count
-        return targets[:count], False, count + 1
-
     def prefix(self, cutoff: Optional[int] = None
                ) -> Tuple[Sequence[Entry], bool]:
         """Every entry, whatever the cutoff; always exhausted."""
@@ -144,103 +157,75 @@ class FiniteRow(Record):
                            for k, w in self.entries if k > n)
 
 
-class LazyRow:
-    """Potentially infinite row backed by a deterministic generator factory.
+class LazyRow(Row):
+    """Infinite row, pulled on demand from a deterministic generator factory.
 
+    The factory must never end: a row with finitely many entries is a
+    :class:`FiniteRow`, and a factory that ends raises ValidationError.
     ``tail_sq_bound(N)`` must upper-bound sum_{k>N} |w_k|^2; ``tail_abs_bound``
     does the same for sum |w_k|.  Either may be None when no closed form is
     available, in which case operations that need the bound raise
     :class:`NoTailBound`.
     """
 
+    __slots__ = ("entries", "_targets", "_it", "tail_sq_bound",
+                 "tail_abs_bound")
+
     def __init__(self, factory: Callable[[], Iterator[Entry]],
                  tail_sq_bound: Optional[Callable[[int], Fraction]] = None,
                  tail_abs_bound: Optional[Callable[[int], Fraction]] = None):
-        self._factory = factory
         self.tail_sq_bound = tail_sq_bound
         self.tail_abs_bound = tail_abs_bound
-        self._cache: list[Entry] = []
-        self._it: Optional[Iterator[Entry]] = None
-        self._done = False
+        self.entries, self._targets = [], []
+        self._it = factory()
 
-    def _extend(self, want: int) -> None:
-        # grow the materialised prefix to `want` entries (or exhaustion)
-        if self._it is None:
-            self._it = self._factory()
-        while len(self._cache) < want and not self._done:
+    def _reach(self, count: int, top: int) -> None:
+        entries, targets = self.entries, self._targets
+        while len(entries) <= count or targets[-1] <= top:
             try:
                 k, w = next(self._it)
             except StopIteration:
-                self._done = True
-                return
-            if self._cache and k <= self._cache[-1][0]:
-                raise ValidationError("lazy row targets must increase strictly")
-            self._cache.append((k, w))
+                raise ValidationError(
+                    "a lazy row is infinite, but its factory ended; build a "
+                    "FiniteRow instead") from None
+            if k <= (targets[-1] if targets else 0):
+                raise _order_error(k)
+            entries.append((k, w))
+            targets.append(k)
 
     def __iter__(self) -> Iterator[Entry]:
         """Entries in order, pulled one at a time as the caller advances."""
         n = 0
         while True:
-            self._extend(n + 1)
-            if n == len(self._cache):
-                return
-            yield self._cache[n]
+            self._reach(n, 0)
+            yield self.entries[n]
             n += 1
-
-    def first(self, count: int) -> Tuple[list, bool]:
-        """First `count` entries and whether the row was exhausted by them."""
-        self._extend(count + 1)
-        exhausted = self._done and len(self._cache) <= count
-        return self._cache[:count], exhausted
-
-    def upto(self, max_vertex: int) -> Tuple[list, bool, int]:
-        """Entries with target <= max_vertex.
-
-        Returns (entries, exhausted, enumerated) where `enumerated` counts the
-        entries actually pulled (including the first one beyond the window,
-        which is what detects non-exhaustion).
-        """
-        n = 0
-        while True:
-            self._extend(n + 1)
-            if len(self._cache) <= n:
-                return self._cache[:n], True, n
-            if self._cache[n][0] > max_vertex:
-                return self._cache[:n], False, n + 1
-            n += 1
-
-    def targets_upto(self, max_vertex: int) -> Tuple[Sequence[int], bool, int]:
-        """:meth:`upto` with the targets alone."""
-        entries, exhausted, enumerated = self.upto(max_vertex)
-        return tuple(k for k, _w in entries), exhausted, enumerated
 
     def prefix(self, cutoff: Optional[int] = None
                ) -> Tuple[Sequence[Entry], bool]:
-        """Entries with target <= cutoff, or the first LAZY_ROW_PROBE entries
-        when there is no cutoff, and whether they exhaust the row."""
-        if cutoff is None:
-            return self.first(LAZY_ROW_PROBE)
-        entries, exhausted, _ = self.upto(cutoff)
-        return entries, exhausted
+        """Entries with target <= cutoff, and False: they never exhaust the
+        row.  Without a cutoff no entry is pulled."""
+        return ([], False) if cutoff is None else self.upto(cutoff)[:2]
 
     def tail_sq(self, n: int):
         """Certified upper bound on sum_{k>n} |w_k|^2, or raise NoTailBound."""
-        if self.upto(n)[1]:
-            return Fraction(0)  # no entry lies beyond n
         if self.tail_sq_bound is None:
             raise NoTailBound(f"row has no square tail bound beyond {n}")
         return self.tail_sq_bound(n)
 
     def tail_abs(self, n: int) -> Optional[Fraction]:
         """Certified upper bound on sum_{k>n} |w_k|, or None if unavailable."""
-        if self.upto(n)[1]:
-            return Fraction(0)
-        if self.tail_abs_bound is None:
-            return None
-        return self.tail_abs_bound(n)
+        return None if self.tail_abs_bound is None else self.tail_abs_bound(n)
 
 
-Row = Union[FiniteRow, LazyRow]
+def _window_top(universe: Optional[int], window: int, name: str) -> int:
+    """:meth:`EvolutionStructure.window_top`, refusing a bound named `name`."""
+    if window < 1:
+        raise InvalidParams(f"{name} must be >= 1")
+    if universe is None and window > WINDOW_CEILING:
+        raise InvalidParams(f"{name} {window} exceeds the ceiling "
+                            f"WINDOW_CEILING = {WINDOW_CEILING}")
+    return window if universe is None else min(window, universe)
 
 
 class FamilyMeta(Record):
@@ -313,12 +298,7 @@ class EvolutionStructure:
         """The last vertex of the window {1..window} that exists, for a
         window that is at least 1 and, on an infinite universe, at most
         WINDOW_CEILING; InvalidParams otherwise."""
-        if window < 1:
-            raise InvalidParams("window must be >= 1")
-        if self.universe is None and window > WINDOW_CEILING:
-            raise InvalidParams(f"window {window} exceeds the ceiling "
-                                f"WINDOW_CEILING = {WINDOW_CEILING}")
-        return window if self.universe is None else min(window, self.universe)
+        return _window_top(self.universe, window, "window")
 
     def column_of(self, i: int) -> Row:
         self._check_vertex(i)

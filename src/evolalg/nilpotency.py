@@ -35,14 +35,17 @@ from .graph import (
 from .records import Record
 
 # On an infinite universe classify() searches the window
-# {1..min(budget + 8, WINDOW_CEILING)} for cycles, reading at most
-# CLASSIFY_ENTRIES_PER_BUDGET * budget row entries, and reads the rank of at
-# most CLASSIFY_SCAN_CAP vertices; a ray prefix from a vertex of infinite
-# rank looks at the first CLASSIFY_RAY_ROW_SCAN entries of each row it walks.
+# {1..min(budget + CLASSIFY_WINDOW_MARGIN, WINDOW_CEILING)} for cycles,
+# reading at most CLASSIFY_ENTRIES_PER_BUDGET * budget row entries, and reads
+# the rank of at most CLASSIFY_SCAN_CAP vertices; a ray prefix from a vertex
+# of infinite rank takes at most min(budget, CLASSIFY_RAY_STEPS) steps and
+# looks at the first CLASSIFY_RAY_ROW_SCAN entries of each row it walks.
 # validate_witness reads at most CLASSIFY_ENTRIES_PER_BUDGET * (r + 1) row
 # entries to find D^r(v) of a rank pair (v, r).
+CLASSIFY_WINDOW_MARGIN = 8
 CLASSIFY_ENTRIES_PER_BUDGET = 64
 CLASSIFY_SCAN_CAP = 256
+CLASSIFY_RAY_STEPS = 48
 CLASSIFY_RAY_ROW_SCAN = 64
 
 # -- witnesses ---------------------------------------------------------------
@@ -152,13 +155,13 @@ class NilpotencyReport(Record):
 # -- helpers -----------------------------------------------------------------
 
 
-def _materialise_ray(s: EvolutionStructure, rank, start: int, length: int):
-    """Walk a ray prefix from `start` along the first unvisited child of
-    infinite rank."""
+def _materialise_ray(s: EvolutionStructure, rank, start: int, steps: int):
+    """Walk a ray prefix of at most `steps` edges from `start`, along the
+    first unvisited child of infinite rank."""
     out = [start]
     seen = {start}
     v = start
-    while len(out) < length:
+    while len(out) <= steps:
         entries, _ = s.row_of(v).first(CLASSIFY_RAY_ROW_SCAN)
         step = None
         for t, _w in entries:
@@ -205,8 +208,8 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
     heights.
 
     On infinite structures `budget` sets a window and an entry count: the
-    search covers the window {1..min(budget + 8, WINDOW_CEILING)} and
-    may enumerate CLASSIFY_ENTRIES_PER_BUDGET * budget row entries.  The
+    search covers {1..min(budget + CLASSIFY_WINDOW_MARGIN, WINDOW_CEILING)}
+    and may enumerate CLASSIFY_ENTRIES_PER_BUDGET * budget row entries.  The
     rank is read for at most the first min(budget, CLASSIFY_SCAN_CAP)
     vertices, once each: the first of infinite rank starts a ray, and the
     record ranks before it show unbounded ranks.
@@ -222,7 +225,7 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
         window = s.universe
         notes.append("finite universe decided exactly; budget advisory")
     else:
-        window = min(budget + 8, WINDOW_CEILING)
+        window = min(budget + CLASSIFY_WINDOW_MARGIN, WINDOW_CEILING)
 
     # Stage 1: oriented cycles decide everything.
     path, finished, targets, completed = window_dfs(
@@ -282,7 +285,7 @@ def classify(s: EvolutionStructure, budget: int = 64) -> NilpotencyReport:
                              f"vertices 1..{scan} have finite rank; the scan "
                              f"stops at {limit}")
             return NilpotencyReport(verdict, verdict, None, budget, tuple(notes))
-        ray = _materialise_ray(s, rank, bad, min(budget, 48) + 1)
+        ray = _materialise_ray(s, rank, bad, min(budget, CLASSIFY_RAY_STEPS))
         witness = RayPrefix(ray) if len(ray) >= 2 else None
         nil = _no(f"vertex {bad} has infinite depth (family oracle)", witness)
         return NilpotencyReport(nil, nil, IndexInfinite(), budget, tuple(notes))

@@ -315,6 +315,17 @@ def fraction_str(x: Fraction) -> str:
             f"for printing an integer; use a smaller window or cutoff") from e
 
 
+def _echo_rational(q: Fraction, given) -> str:
+    """``str(q)``, the text a report echoes for the input `given`;
+    ParseError past the interpreter's limit on digits it prints."""
+    try:
+        return str(q)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ParseError(f"{given!r} is a valid rational that is too long to "
+                         f"echo: its numerator or denominator has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def q2_str(q: Q2) -> str:
     """Render as "p/q", "r/s*sqrt2" or "p/q+r/s*sqrt2" (exactly invertible)."""
     p, d = q._p, q._d

@@ -17,7 +17,9 @@ from evolalg import (
     NaturalOnWindow,
     NilAt,
     NotNilUpTo,
+    OperatorKind,
     algebra,
+    apply_operator,
     build_family,
     descendants_generation,
     inner_product,
@@ -73,6 +75,17 @@ def test_square_basis_matches_rows():
     comb = build_family("comb")
     assert square_basis(comb, 2) == Element({1: EX_ONE, 3: EX_ONE, 5: EX_ONE})
     assert square_basis(comb, 1).is_zero()
+
+
+def test_products_without_a_cutoff_pull_nothing_from_an_infinite_row():
+    # row 1 of markov_line is infinite: refused before any entry is pulled
+    mk = build_family("markov_line")
+    e1 = Element.basis(1)
+    with pytest.raises(NoTailBound, match="pass a cutoff"):
+        apply_operator(mk, OperatorKind.OMEGA, e1)
+    with pytest.raises(NoTailBound, match="pass a cutoff"):
+        multiply(mk, e1, e1)
+    assert mk.row_of(1).entries == []
 
 
 def test_square_basis_infinite_row():

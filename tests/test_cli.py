@@ -210,6 +210,20 @@ def test_bounds_schur_bad_args():
         assert time.monotonic() - start < 1.0
 
 
+def test_rationals_too_long_to_echo_say_so():
+    limit = str(sys.get_int_max_str_digits())
+    for argv in (["analyze", "--family", "markov_line",
+                  "--params", '{"ratio": "1e-4300"}'],
+                 ["bounds", "--family", "comb",
+                  "--schur", "ones,ones,1e-4300,1"]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        assert ("'1e-4300' is a valid rational that is too long to echo: "
+                f"its numerator or denominator has more than {limit} "
+                "digits\n") in err, err
+        assert "set_int_max_str_digits" not in err
+
+
 def test_bounds_frobenius_finite():
     code, rep = report(["bounds", "-", "--frobenius"], stdin=TWO_CYCLE)
     assert code == 0
@@ -350,16 +364,17 @@ def test_windows_past_the_ceiling_exit_2_at_once():
         start = time.monotonic()
         code, out, err = invoke(argv)
         assert (code, out) == (2, ""), argv
-        assert err.startswith("evolalg: InvalidParams:"), err
+        bound = "cutoff" if "--cutoff" in argv else "window"
+        assert err.startswith(f"evolalg: InvalidParams: {bound} "), err
         assert f"WINDOW_CEILING = {WINDOW_CEILING}" in err
         assert time.monotonic() - start < 1.0
-    # a cutoff below 1 is refused as a window below 1 is, on any universe
+    # a cutoff below 1 is refused by name, on any universe
     for argv, stdin in ((apply + ["0"], None), (apply + ["-3"], None),
                         (["apply", "-", "--op", "omega", "--vector",
                           '{"1": 1}', "--cutoff", "0"], TWO_CYCLE)):
         code, out, err = invoke(argv, stdin)
         assert (code, out) == (2, ""), argv
-        assert err == "evolalg: InvalidParams: window must be >= 1\n"
+        assert err == "evolalg: InvalidParams: cutoff must be >= 1\n"
     # a finite universe clips the window to its own size instead
     code, rep = report(["triangularize", "-", "--window", "30000000"],
                        TWO_CYCLE)
@@ -464,8 +479,11 @@ def test_malformed_family_params_exit_2():
                                  "--params", json.dumps(params)])
         assert (code, out) == (2, ""), params
         assert err.startswith("evolalg: InvalidParams:"), err
-        if fam == "markov_line":
-            assert '"0.5", "1/2"' in err  # the advice to quote it
+        # the advice to quote it fits only a value that is no string
+        quoted = isinstance(params.get("ratio"), str)
+        assert ('"0.5", "1/2"' in err) == (fam == "markov_line"
+                                           and not quoted), err
+        assert "rational value" not in err
         assert time.monotonic() - start < 1.0
 
 

@@ -1,4 +1,5 @@
 """Graph layer: rows, budgeted traversals, cycles, degrees, DOT."""
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -66,8 +67,22 @@ def test_lazy_row_prefix_and_window():
 def test_row_methods_on_finite():
     row = FiniteRow(((1, EX_ONE), (4, EX_ONE)))
     assert row.first(5) == ([(1, EX_ONE), (4, EX_ONE)], True)
+    assert row.first(0) == ([], False)
+    for any_row in (row, build_family("markov_line").row_of(1)):
+        with pytest.raises(InvalidParams):
+            any_row.first(-1)
     assert row.upto(3) == ([(1, EX_ONE)], False, 2)
     assert row.upto(4) == ([(1, EX_ONE), (4, EX_ONE)], True, 2)
+
+
+def infinite_after(entries, start):
+    """The lazy row of `entries`, then the unit entries start, start+1, ...:
+    an infinite row that reads as the FiniteRow of `entries` below start."""
+    def gen():
+        yield from entries
+        yield from zip(itertools.count(start), itertools.repeat(EX_ONE))
+
+    return LazyRow(gen)
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,33 +90,57 @@ def test_row_methods_on_finite():
        top=st.integers(0, 70))
 def test_targets_upto_agrees_with_upto(targets, top):
     entries = tuple((k, EX_ONE) for k in sorted(targets))
-    for row in (FiniteRow(entries), LazyRow(lambda: iter(entries))):
+    finite, lazy = FiniteRow(entries), infinite_after(entries, 61)
+    for row in (finite, lazy):
         got, exhausted, enumerated = row.targets_upto(top)
         want, want_exhausted, want_enumerated = row.upto(top)
         assert list(got) == [k for k, _ in want]
         assert (exhausted, enumerated) == (want_exhausted, want_enumerated)
+    # the lazy row never ends: the entry past top always counts
+    want, _, _ = finite.upto(top)
+    past = [(k, EX_ONE) for k in range(61, top + 1)]
+    assert lazy.upto(top) == (want + past, False, len(want) + len(past) + 1)
 
 
 def test_finite_and_lazy_rows_answer_alike():
     half = ExactScalar.from_rational(Fraction(1, 2))
     entries = ((2, EX_ONE), (5, half), (9, EX_ONE))
     finite = FiniteRow(entries)
-    lazy = LazyRow(lambda: iter(entries))
+    lazy = infinite_after(entries, 12)
+    assert list(finite) == list(entries)
     for row in (finite, lazy):
-        assert list(row) == list(entries)
+        assert list(itertools.islice(row, 3)) == list(entries)
         assert row.first(2) == (list(entries[:2]), False)
         assert row.upto(5) == (list(entries[:2]), False, 3)
-        assert list(row.prefix(cutoff=20)[0]) == list(entries)
-        assert row.prefix(cutoff=20)[1]
-        assert row.tail_sq(9) == row.tail_abs(9) == 0
+        assert list(row.prefix(cutoff=11)[0]) == list(entries)
+    assert finite.prefix(cutoff=20) == (entries, True)
+    assert lazy.prefix(cutoff=11) == (list(entries), False)
+    assert finite.tail_sq(9) == finite.tail_abs(9) == 0
     # past the cutoff a finite row still answers in full, a lazy one does not
     assert finite.tail_sq(4) == Fraction(5, 4)
     assert finite.tail_abs(4) == Fraction(3, 2)
-    with pytest.raises(NoTailBound):
-        lazy.tail_sq(4)
-    assert lazy.tail_abs(4) is None
+    for n in (4, 9):
+        with pytest.raises(NoTailBound):
+            lazy.tail_sq(n)
+        assert lazy.tail_abs(n) is None
     assert finite.prefix(cutoff=4) == (entries, True)
     assert lazy.prefix(cutoff=4) == ([(2, EX_ONE)], False)
+    # without a cutoff a lazy row pulls nothing
+    fresh = infinite_after(entries, 12)
+    assert fresh.prefix() == ([], False)
+    assert fresh.entries == []
+
+
+def test_a_lazy_factory_that_ends_is_refused():
+    entries = ((2, EX_ONE), (5, EX_ONE))
+    for read in (lambda row: row.first(2), lambda row: row.upto(5),
+                 lambda row: row.targets_upto(9), lambda row: list(row)):
+        with pytest.raises(ValidationError, match="build a FiniteRow"):
+            read(LazyRow(lambda: iter(entries)))
+    # a factory out of order is refused as a FiniteRow would be
+    for bad in (((3, EX_ONE), (2, EX_ONE)), ((0, EX_ONE),)):
+        with pytest.raises(ValidationError):
+            infinite_after(bad, 10).first(2)
 
 
 def test_comb_generations_frozen():
